@@ -32,6 +32,8 @@ def random_path(frame: Frame, rng: random.Random) -> DyckPath:
 
 def time_inversions(k: int, sizes: list[int], reps: int, seed: int) -> list[dict]:
     """Mean wall time of one inversion per frame height, one row per size."""
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
     rows = []
     for n in sizes:
         frame = make_frame(k * n + 1, n)

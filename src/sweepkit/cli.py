@@ -28,7 +28,7 @@ from .core import (
 )
 from .errors import SweepkitError
 from .fuss import FussTableau, invert_fuss, path_tableau, walk
-from .oracle import oracle_invert_sweep
+from .oracle import oracle_dinv, oracle_invert_sweep
 from .qtcatalan import catalan_qt, catalan_qt_via_bounce, catalan_step, path_count
 from .reduction import fiber_by_cutting, red
 from .render import render_svg
@@ -202,8 +202,10 @@ def cmd_verify(args) -> int:
             failures += 1
         images = set()
         for D in paths:
-            images.add(sweep(D).steps)
-            if dinv(D) != area(sweep(D)):
+            image = sweep(D)
+            images.add(image.steps)
+            cells = oracle_dinv(D)
+            if dinv(D) != cells or area(image) != cells:
                 failures += 1
         if len(images) != len(paths):
             failures += 1

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Optional, Sequence
 
 from .errors import BelowDiagonal, NotCoprime, NotFuss, WrongStepCounts
@@ -147,16 +148,39 @@ def rank_sequence(path: DyckPath) -> RankSequence:
     return RankSequence(tuple(sorted(ranks(path))))
 
 
-def _east_heights(path: DyckPath) -> list[int]:
-    """Height of the East step in each column x = 0 .. m-1 (non-decreasing)."""
-    heights = []
-    y = 0
+def _rank_typed_letters(path: DyckPath, at_start: bool) -> str:
+    """Step letters in increasing rank order, each step ranked by its start or end.
+
+    Both rank sets are the m+n distinct step-start ranks, so one sort of the
+    keys 2*rank + (1 for East) orders them and the low bit gives the letter
+    back.  This is the kernel behind sweep, sw_word, en_word and dinv.
+    """
+    up, down = 2 * path.frame.m, 2 * path.frame.n
+    north_key, east_key = (0, 1) if at_start else (up, 1 - down)
+    keys = []
+    push = keys.append
+    r = 0
     for ch in path.steps:
         if ch == NORTH:
-            y += 1
+            push(r + north_key)
+            r += up
         else:
-            heights.append(y)
-    return heights
+            push(r + east_key)
+            r -= down
+    keys.sort()
+    letters = NORTH + EAST
+    return "".join([letters[key & 1] for key in keys])
+
+
+def _word_area(frame: Frame, steps: str) -> int:
+    """area of a valid step word of the frame, in one pass.
+
+    On a valid word the East step of column x sits at height
+    h >= ceil(n(x+1)/m), so area is the sum of the East-step heights minus
+    sum_{x=1..m} ceil(nx/m) = (m-1)(n-1)/2 + m + n - 1 (m, n coprime).
+    """
+    heights = accumulate(map(len, steps.split(EAST)[:-1]))
+    return sum(heights) - frame.statistic_bound() - frame.size + 1
 
 
 def area(path: DyckPath) -> int:
@@ -165,13 +189,7 @@ def area(path: DyckPath) -> int:
     Cells cut by the diagonal are excluded; cell (x, y) lies weakly above
     the diagonal iff m*y >= n*(x+1).
     """
-    m, n = path.frame.m, path.frame.n
-    total = 0
-    for x, h in enumerate(_east_heights(path)):
-        lowest = -(-n * (x + 1) // m)  # ceil(n(x+1)/m)
-        if h > lowest:
-            total += h - lowest
-    return total
+    return _word_area(path.frame, path.steps)
 
 
 def coarea(path: DyckPath) -> int:
@@ -185,29 +203,15 @@ def coarea(path: DyckPath) -> int:
 
 
 def dinv(path: DyckPath) -> int:
-    """Count cells above the path whose boundary ranks a, b satisfy 0 < a-b < m+n.
+    """dinv through the sweep transport: dinv(D) = area(sweep(D)).
 
-    For a cell in column x and row y (both 0-indexed), a is the rank of the
-    left vertex of the East step in column x, and b is the rank of the bottom
-    vertex of the North step crossing row y.  This cell rule is pinned by the
-    identity dinv(D) = area(sweep(D)), checked exhaustively in the tests.
+    The sweep image's step word is the path's letters in increasing
+    start-rank order, so dinv is one rank sort plus one area pass,
+    O((m+n) log(m+n)) with no image path built.  The O(mn) cell rule this
+    identity replaces is kept as ``oracle.oracle_dinv``, and the tests
+    check the two against each other exhaustively.
     """
-    m, n = path.frame.m, path.frame.n
-    east_rank = []  # a(x), by column
-    north_rank = []  # b(y), by row
-    r = 0
-    for ch in path.steps:
-        (north_rank if ch == NORTH else east_rank).append(r)
-        r += m if ch == NORTH else -n
-    size = m + n
-    count = 0
-    for x, h in enumerate(_east_heights(path)):
-        a = east_rank[x]
-        for y in range(h, n):
-            diff = a - north_rank[y]
-            if 0 < diff < size:
-                count += 1
-    return count
+    return _word_area(path.frame, _rank_typed_letters(path, at_start=True))
 
 
 def rank_complement(path: DyckPath) -> DyckPath:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from itertools import chain
 from dataclasses import dataclass
 
 from .core import DyckPath, Frame, make_frame
@@ -24,6 +25,7 @@ from .errors import (
     NotSingleCycle,
     PrematureStall,
     RowConstraintViolated,
+    SweepkitError,
 )
 from .sweep import SWWord, ENWord, S_STEP, W_STEP, steps_to_sw
 
@@ -86,43 +88,29 @@ class FussTableau:
         return tuple(c[-1] for c in self.completed_columns())
 
     def validate(self) -> None:
-        """Check all defining invariants; raises ValueError on violation."""
+        """Check that the tableau is the column filling of some path.
+
+        Parameters, column count and the label set are checked directly.
+        The rest is a round trip through the bijection of paths onto
+        tableaux: reading S at the first-row labels and W elsewhere must
+        give a valid path word whose column filling is this tableau again.
+        One sort of the labels plus linear passes; raises ValueError on
+        violation.
+        """
         k, n, sign = self.k, self.n, self.sign
         if sign not in (+1, -1) or k < 1 or n < 1:
             raise ValueError("bad tableau parameters")
-        if len(self.columns) != n:
-            raise ValueError(f"expected {n} columns, got {len(self.columns)}")
+        if len(self.columns) != n or not all(self.columns):
+            raise ValueError(f"expected {n} non-empty columns, got {len(self.columns)}")
         entries = [e for c in self.columns for e in c]
-        if sorted(entries) != list(range(1, self.size)):
+        if len(entries) != self.size - 1 or sorted(entries) != list(range(1, self.size)):
             raise ValueError("entries must be exactly 1 .. m+n-1")
-        cols = self.completed_columns()
-        if any(len(c) != k + 1 for c in cols):
-            raise ValueError("completed columns must have height k+1")
-        for c in cols:
-            if any(a >= b for a, b in zip(c, c[1:])):
-                raise ValueError("columns must increase downwards")
-        for i in range(k + 1):
-            row = [c[i] for c in cols]
-            if any(a >= b for a, b in zip(row, row[1:])):
-                raise ValueError("rows must increase rightwards")
-        column_of = {e: j for j, c in enumerate(cols) for e in c}
-        for c in cols:
-            for a, d in zip(c, c[1:]):
-                seen = set()
-                for e in range(a + 1, d):
-                    j = column_of[e]
-                    if j in seen:
-                        raise ValueError(
-                            f"entries between {a} and {d} repeat column {j + 1}"
-                        )
-                    seen.add(j)
-        if sign > 0:
-            for j, t in enumerate(self.first_row(), start=1):
-                if t > 1 + (j - 1) * (k + 1):
-                    raise ValueError(f"first row entry {j} too large")
-            for j, b in enumerate(self.bottom_row(), start=1):
-                if b < j * (k + 1):
-                    raise ValueError(f"bottom row entry {j} too small")
+        try:
+            refilled = fill_tableau(tableau_to_sw(self))
+        except SweepkitError as exc:
+            raise ValueError(f"tableau encodes no path: {exc}") from exc
+        if refilled.columns != self.columns:
+            raise ValueError("tableau is not the column filling of its first row")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -136,9 +124,17 @@ class FussTableau:
 
     @classmethod
     def from_json(cls, text: str) -> "FussTableau":
+        """Parse ``{"k", "n", "sign", "rows"}`` and validate; ValueError on bad input."""
         data = json.loads(text)
-        k, n, sign = int(data["k"]), int(data["n"]), int(data["sign"])
-        rows = data["rows"]
+        if not isinstance(data, dict) or not {"k", "n", "sign", "rows"} <= data.keys():
+            raise ValueError("tableau JSON must be an object with keys k, n, sign, rows")
+        k, n, sign, rows = data["k"], data["n"], data["sign"], data["rows"]
+        if not (isinstance(rows, list) and rows and all(isinstance(r, list) and r for r in rows)):
+            raise ValueError("tableau rows must be a non-empty list of non-empty lists")
+        if set(map(type, (k, n, sign, *chain.from_iterable(rows)))) != {int}:
+            raise ValueError("tableau k, n, sign and entries must be integers")
+        if any(len(a) < len(b) for a, b in zip(rows, rows[1:])):
+            raise ValueError("tableau rows must not get longer downwards")
         width = len(rows[0])
         columns = tuple(
             tuple(row[j] for row in rows if len(row) > j) for j in range(width)

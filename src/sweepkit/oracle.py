@@ -1,7 +1,8 @@
 """Brute-force reference implementations (test-only API).
 
-Everything here goes through plain enumeration and never calls the fast
-operations it exists to validate: no tableau walk, no linear inversion.
+Everything here goes through plain enumeration or a direct count and never
+calls the fast operations it exists to validate: no tableau walk, no linear
+inversion, no rank-sort dinv.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .core import DyckPath, area, enumerate_paths, make_frame
+from .core import NORTH, DyckPath, enumerate_paths, make_frame
 from .errors import SearchExhausted
 from .fuss import FussTableau, path_tableau
 from .sweep import sweep
@@ -31,9 +32,43 @@ def oracle_invert_sweep(path: DyckPath) -> DyckPath:
         raise SearchExhausted(f"no sweep preimage of {path.steps}") from None
 
 
+def _east_heights(path: DyckPath) -> list[int]:
+    """Height of the East step in each column x = 0 .. m-1 (non-decreasing)."""
+    heights = []
+    y = 0
+    for ch in path.steps:
+        if ch == NORTH:
+            y += 1
+        else:
+            heights.append(y)
+    return heights
+
+
 def oracle_dinv(path: DyckPath) -> int:
-    """dinv through the transport identity: area of the sweep image."""
-    return area(sweep(path))
+    """Count cells above the path whose boundary ranks a, b satisfy 0 < a-b < m+n.
+
+    For a cell in column x and row y (both 0-indexed), a is the rank of the
+    left vertex of the East step in column x, and b is the rank of the bottom
+    vertex of the North step crossing row y.  This O(mn) cell rule is
+    independent of the sweep map, so checking it against ``core.dinv`` tests
+    the transport identity dinv(D) = area(sweep(D)).
+    """
+    m, n = path.frame.m, path.frame.n
+    east_rank = []  # a(x), by column
+    north_rank = []  # b(y), by row
+    r = 0
+    for ch in path.steps:
+        (north_rank if ch == NORTH else east_rank).append(r)
+        r += m if ch == NORTH else -n
+    size = m + n
+    count = 0
+    for x, h in enumerate(_east_heights(path)):
+        a = east_rank[x]
+        for y in range(h, n):
+            diff = a - north_rank[y]
+            if 0 < diff < size:
+                count += 1
+    return count
 
 
 def oracle_fiber(T_reduced: FussTableau) -> list[DyckPath]:

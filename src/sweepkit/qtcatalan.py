@@ -13,6 +13,7 @@ import math
 from typing import Iterable, Iterator
 
 from .core import DyckPath, Frame, area, dinv, enumerate_paths, make_frame, rank_sequence
+from .errors import NotFuss
 from .fuss import invert_fuss
 
 
@@ -104,6 +105,8 @@ def path_count(frame: Frame) -> int:
 
 
 def _fuss_paths(k: int, n: int) -> Iterator[DyckPath]:
+    if k < 1:
+        raise NotFuss(f"k must be at least 1, got {k}")
     return enumerate_paths(make_frame(k * n + 1, n))
 
 

@@ -17,9 +17,9 @@ from .core import (
     DyckPath,
     Frame,
     RankSequence,
+    _rank_typed_letters,
     enumerate_paths,
     parse_path,
-    ranks,
 )
 from .errors import InconsistentPair, NotFuss, SearchExhausted
 
@@ -67,19 +67,6 @@ class ENWord:
 
     def __post_init__(self):
         parse_path(self.frame, self.letters[::-1])
-
-
-def _rank_typed_letters(path: DyckPath, at_start: bool) -> str:
-    """Letters in increasing rank order, typed by step starts or step ends."""
-    m, n = path.frame.m, path.frame.n
-    pairs = []
-    r = 0
-    for ch in path.steps:
-        nxt = r + m if ch == NORTH else r - n
-        pairs.append((r if at_start else nxt, ch))
-        r = nxt
-    pairs.sort()
-    return "".join(ch for _, ch in pairs)
 
 
 def sw_word(path: DyckPath) -> SWWord:

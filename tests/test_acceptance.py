@@ -41,7 +41,12 @@ from sweepkit import (
     walk,
 )
 from sweepkit.bench import time_inversions
-from sweepkit.oracle import enumerate_tableaux, oracle_fiber, oracle_invert_sweep
+from sweepkit.oracle import (
+    enumerate_tableaux,
+    oracle_dinv,
+    oracle_fiber,
+    oracle_invert_sweep,
+)
 from helpers import (
     FIG_EN,
     FIG_RANK_SEQUENCE,
@@ -96,7 +101,7 @@ def test_criterion_01_golden_worked_example():
 
 
 def test_criterion_02_sweep_bijection_and_transport():
-    with criterion(2, "sweep bijective with area(sweep) = dinv, all m+n <= 14"):
+    with criterion(2, "sweep bijective, area(sweep) = dinv = cell-rule dinv, m+n <= 14"):
         started = time.perf_counter()
         for frame in coprime_frames(14):
             paths = frame_paths(frame.m, frame.n)
@@ -104,6 +109,7 @@ def test_criterion_02_sweep_bijection_and_transport():
             for path in paths:
                 image = sweep(path)
                 assert area(image) == dinv(path)
+                assert dinv(path) == oracle_dinv(path)
                 images.add(image.steps)
             assert len(images) == len(paths)
         assert time.perf_counter() - started < 60

@@ -1,6 +1,8 @@
 import json
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from sweepkit.cli import main
 from helpers import FIG_EN, FIG_RANK_SEQUENCE, FIG_SW, FIG_WORD
 
@@ -118,6 +120,22 @@ class TestTableauCommands:
         code, _, _ = run(capsys, "red", "--tableau-json", "{not json")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            # Meets the strip conditions, encodes no path.
+            '{"k": 1, "n": 3, "sign": -1, "rows": [[1, 3, 4], [2]]}',
+            '{"k": 1, "n": 2, "sign": 1, "rows": []}',
+            "[1, 2]",
+            '{"k": 1, "n": 2, "sign": 1}',
+            '{"k": 1, "n": 2, "sign": 1, "rows": [["a", "b"], [2, 4]]}',
+        ],
+    )
+    def test_malformed_tableau_exit_2(self, capsys, blob):
+        code, out, err = run(capsys, "tableau", "--tableau-json", blob)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestCatalanCommand:
     def test_pretty_and_json(self, capsys):
@@ -125,6 +143,12 @@ class TestCatalanCommand:
         assert code == 0
         assert json.loads(out) == [[0, 1, "1"], [1, 0, "1"]]
         assert err.strip() == "q + t"
+
+    @pytest.mark.parametrize("via", ["dinv-area", "area-bounce", "step"])
+    def test_non_fuss_k_exit_2(self, capsys, via):
+        code, out, err = run(capsys, "catalan", "--k", "0", "--n", "3", "--via", via)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_routes(self, capsys):
         outputs = set()
@@ -194,6 +218,11 @@ class TestBench:
                            "--seed", "999")
         assert code == 0
         assert out.splitlines()[1].startswith("1,30,31,61,")
+
+    def test_zero_reps_exit_2(self, capsys):
+        code, out, err = run(capsys, "bench", "--k", "2", "--sizes", "10", "--reps", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestVerify:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from sweepkit import (
@@ -9,6 +11,7 @@ from sweepkit import (
     brute_invert_sweep,
     en_from_tableau,
     en_word,
+    enumerate_paths,
     fill_tableau,
     invert_fuss,
     make_frame,
@@ -271,6 +274,70 @@ class TestEmbeddingMonotonicity:
                             assert b * m - a * n >= 0
 
 
+def increasing_fillings(k, n, sign):
+    """Every filling of n non-empty columns of height <= k+1 by 1 .. m+n-1
+    that increases down each column and rightwards along each row."""
+    total = (k + 1) * n + sign - 1
+    for shape in itertools.product(range(1, k + 2), repeat=n):
+        if sum(shape) != total:
+            continue
+        heights = [0] * n
+        columns = [[] for _ in range(n)]
+
+        def place(label):
+            if label > total:
+                yield tuple(tuple(c) for c in columns)
+                return
+            for j in range(n):
+                h = heights[j]
+                if h == shape[j]:
+                    continue
+                if j > 0 and shape[j - 1] > h and heights[j - 1] <= h:
+                    continue  # the left neighbour must come first
+                if j + 1 < n and heights[j + 1] > h:
+                    continue  # the right neighbour may not come first
+                columns[j].append(label)
+                heights[j] += 1
+                yield from place(label + 1)
+                heights[j] -= 1
+                columns[j].pop()
+
+        yield from place(1)
+
+
+class TestValidate:
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_accepts_exactly_the_path_images(self, sign):
+        for k in (1, 2, 3):
+            for n in (1, 2, 3, 4):
+                if k * n + sign < 1:
+                    continue
+                frame = make_frame(k * n + sign, n)
+                images = {path_tableau(D).columns for D in enumerate_paths(frame)}
+                accepted = set()
+                for columns in increasing_fillings(k, n, sign):
+                    try:
+                        FussTableau(k=k, n=n, sign=sign, columns=columns).validate()
+                    except ValueError:
+                        continue
+                    accepted.add(columns)
+                assert accepted == images, (k, n, sign)
+
+    def test_rejects_minus_filling_of_no_path(self):
+        # Rows [[1, 3, 4], [2]] satisfy the strip conditions but encode no path.
+        T = FussTableau(k=1, n=3, sign=-1, columns=((1, 2), (3,), (4,)))
+        with pytest.raises(ValueError, match="encodes no path"):
+            T.validate()
+
+    @pytest.mark.parametrize(
+        "columns",
+        [((1, 2, 3, 4), ()), ((1, 2),), ((1, 2), (3, 3)), ((2, 1), (3, 4))],
+    )
+    def test_rejects_bad_shape_or_labels(self, columns):
+        with pytest.raises(ValueError):
+            FussTableau(k=1, n=2, sign=1, columns=columns).validate()
+
+
 class TestTableauJson:
     def test_roundtrip(self):
         T = k3n4_tableau()
@@ -286,6 +353,25 @@ class TestTableauJson:
             "sign": 1,
             "rows": [[1, 3, 6, 9], [2, 5, 10, 12], [4, 8, 13, 14], [7, 11, 15, 16]],
         }
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"k": 1, "n": 2, "sign": 1, "rows": [[1, 3.0], [2, 4]]}',
+            '{"k": "1", "n": 2, "sign": 1, "rows": [[1, 3], [2, 4]]}',
+            '{"k": 1, "n": 2, "sign": 1, "rows": [[1, 3], 2]}',
+            # The columns of a valid tableau, but 5 and 6 written a row too low.
+            '{"k": 2, "n": 3, "sign": -1, "rows": [[1, 2, 3], [4], [7, 5, 6]]}',
+        ],
+    )
+    def test_malformed_raises_value_error(self, text):
+        with pytest.raises(ValueError):
+            FussTableau.from_json(text)
+
+    def test_minus_sign_rows_accepted(self):
+        text = '{"k": 2, "n": 3, "sign": -1, "rows": [[1, 2, 3], [4, 5, 6], [7]]}'
+        T = FussTableau.from_json(text)
+        assert T.columns == ((1, 4, 7), (2, 5), (3, 6))
 
     def test_render_text(self):
         text = k4n3_tableau().render_text()

@@ -1,4 +1,5 @@
 from sweepkit import (
+    area,
     dinv,
     make_frame,
     parse_path,
@@ -21,6 +22,7 @@ def test_oracle_dinv_matches_direct_count():
     for frame in coprime_frames(12):
         for path in frame_paths(frame.m, frame.n):
             assert oracle_dinv(path) == dinv(path)
+            assert oracle_dinv(path) == area(sweep(path))
 
 
 def test_oracle_invert_identity_on_strips():
