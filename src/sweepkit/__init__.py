@@ -18,6 +18,7 @@ from .core import (
 )
 from .errors import (
     BelowDiagonal,
+    FrameTooLarge,
     InconsistentPair,
     NotCoprime,
     NotFuss,

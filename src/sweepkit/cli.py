@@ -180,6 +180,10 @@ def cmd_bench(args) -> int:
     seed = int(os.environ.get("SWEEPKIT_SEED", args.seed))
     rows = bench_mod.time_inversions(args.k, sizes, args.reps, seed)
     print(bench_mod.rows_to_csv(rows))
+    # Growth between consecutive sizes goes to stderr; stdout stays CSV.
+    for small, big in zip(rows, rows[1:]):
+        print(f"# n={big['n']}: time x{big['mean_ns'] / small['mean_ns']:.2f} "
+              f"for n x{big['n'] / small['n']:.2f}", file=sys.stderr)
     return 0
 
 

@@ -77,37 +77,49 @@ def _prefix_ranks(m: int, n: int, steps: str) -> list[int]:
 
 @dataclass(frozen=True)
 class DyckPath:
-    """A validated (m,n)-Dyck path; ``steps`` is its word over {N, E}."""
+    """A validated (m,n)-Dyck path; ``steps`` is its word over {N, E}.
+
+    Construction checks the length, the letter counts (exactly n N's and
+    m E's, so no other letter) and that no prefix ends below the diagonal.
+    Cost: two C-level counts plus one Python pass that tests the rank only
+    after East steps, since North steps only raise it.  Only on failure is
+    the word scanned again, to report the first offending prefix.
+    """
 
     frame: Frame
     steps: str
 
     def __post_init__(self):
         m, n = self.frame.m, self.frame.n
-        if len(self.steps) != m + n:
-            raise WrongStepCounts(
-                f"expected {m + n} steps, got {len(self.steps)}"
-            )
-        north = self.steps.count(NORTH)
-        if north != n or len(self.steps) - north != m:
-            raise WrongStepCounts(
-                f"expected {n} N's and {m} E's in {self.steps!r}"
-            )
+        steps = self.steps
+        if len(steps) != m + n:
+            raise WrongStepCounts(f"expected {m + n} steps, got {len(steps)}")
+        if steps.count(NORTH) != n or steps.count(EAST) != m:
+            raise WrongStepCounts(f"expected {n} N's and {m} E's in {steps!r}")
         r = 0
-        for i, ch in enumerate(self.steps):
-            r += m if ch == NORTH else -n
-            if r < 0:
-                raise BelowDiagonal(i + 1)
+        for ch in steps:
+            if ch == NORTH:
+                r += m
+            else:
+                r -= n
+                if r < 0:
+                    ends = accumulate(m if ch == NORTH else -n for ch in steps)
+                    raise BelowDiagonal(next(i for i, e in enumerate(ends, 1) if e < 0))
 
     def to_json(self) -> str:
         return json.dumps({"m": self.frame.m, "n": self.frame.n, "steps": self.steps})
 
 
 def parse_path(frame: Frame, word: str | Sequence[str]) -> DyckPath:
-    """Validate a step word over {N, E} against the frame."""
-    steps = "".join(word).upper()
-    bad = set(steps) - {NORTH, EAST}
-    if bad:
+    """Validate a step word over {N, E} (any case) against the frame.
+
+    A ``str`` is used as is, other sequences are joined first.  The alphabet
+    check is two C-level counts; the set of offending letters is built only
+    for the error message.  Then DyckPath validates counts and ranks.
+    """
+    steps = (word if isinstance(word, str) else "".join(word)).upper()
+    if steps.count(NORTH) + steps.count(EAST) != len(steps):
+        bad = set(steps) - {NORTH, EAST}
         raise ValueError(f"step word may only contain N and E, got {sorted(bad)}")
     return DyckPath(frame, steps)
 

@@ -40,6 +40,10 @@ class SearchExhausted(SweepkitError):
     """A brute-force search found no witness (signals an upstream bug)."""
 
 
+class FrameTooLarge(SweepkitError):
+    """A frame has too many paths for a brute-force search."""
+
+
 class PrematureStall(SweepkitError):
     """The column filling ran out of active columns (impossible for valid input)."""
 

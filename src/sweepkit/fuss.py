@@ -10,6 +10,13 @@ For m = kn-1 the same filling leaves the rectangle two cells short; the
 rules below run on the rectangle completed by continuing the filling with
 two virtual labels m+n and m+n+1, with the walk redirections mirrored
 (+1 turns at foot+1 and slides down, -1 turns at foot-1 and slides up).
+
+The active feet form a FIFO queue, so columns grow, and finish, in the
+order they were started: the i-th W of a column always comes before the
+i-th W of every column started after it.  Hence the j-th top and the j-th
+foot share a column, and row d of the tableau is the labels of depth d in
+increasing order.  ``_fill`` therefore tracks only each label's depth, never a
+per-column list, and one fill serves both the inversion and the tableau.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .errors import (
     RowConstraintViolated,
     SweepkitError,
 )
-from .sweep import SWWord, ENWord, S_STEP, W_STEP, steps_to_sw
+from .sweep import SWWord, ENWord, S_STEP, W_STEP
 
 
 @dataclass(frozen=True)
@@ -163,38 +170,73 @@ def _fuss_params(frame: Frame) -> tuple[int, int]:
     return frame.fuss.k, frame.fuss.sign
 
 
-def _fill_columns(letters: str, k: int) -> list[list[int]]:
-    """Run the column filling over the first m+n-1 letters."""
-    columns: list[list[int]] = []
-    active: deque[int] = deque()
+def _fill(steps: str, k: int, sign: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Column filling of a valid Fuss path word, by label; O(m+n).
+
+    Label i takes letter i of the step word: N starts a new column, E goes
+    below the foot at the head of the FIFO queue of active feet.  Sign -1
+    continues with two virtual E's (labels m+n, m+n+1) to complete the
+    rectangle.  Returns ``(up, depth, tops, feet)`` over the completed grid:
+    ``up[label]`` is the label above it (0 in row 1), ``depth[label]`` its row,
+    and ``tops``/``feet`` the first and last labels of the columns, both
+    increasing, so the j-th top and the j-th foot share a column.
+    """
+    size = len(steps)
     full = k + 1
-    for label, ch in enumerate(letters[:-1], start=1):
-        if ch == S_STEP:
-            active.append(len(columns))
-            columns.append([label])
+    grid = size - 1 if sign > 0 else size + 1
+    up = [0] * (grid + 2)
+    depth = [0] * (grid + 2)
+    tops: list[int] = []
+    feet: list[int] = []
+    active: deque[int] = deque()
+    pop = active.popleft
+    push = active.append
+    top = tops.append
+    foot = feet.append
+    label = 0
+    for ch in steps[:-1] if sign > 0 else steps[:-1] + "EE":
+        label += 1
+        if ch == "N":
+            depth[label] = 1
+            top(label)
+            push(label)
         else:
             if not active:
                 raise PrematureStall(f"no active column for label {label}")
-            c = active.popleft()
-            col = columns[c]
-            col.append(label)
-            if len(col) < full:
-                active.append(c)
-    return columns
+            a = pop()
+            up[label] = a
+            d = depth[a] + 1
+            depth[label] = d
+            if d < full:
+                push(label)
+            else:
+                foot(label)
+    return up, depth, tops, feet
+
+
+def _tableau(frame: Frame, steps: str) -> FussTableau:
+    """Tableau of a valid step word of a Fuss frame: row d holds the depth-d labels."""
+    k, sign = _fuss_params(frame)
+    depth = _fill(steps, k, sign)[1]
+    rows: list[list[int]] = [[] for _ in range(k + 1)]
+    for label in range(1, len(depth) - 1):
+        rows[depth[label] - 1].append(label)
+    columns = list(zip(*rows))
+    if sign < 0:
+        # The virtual labels m+n, m+n+1 end the last one or two columns.
+        size = frame.size
+        columns[-2:] = [tuple(e for e in c if e < size) for c in columns[-2:]]
+    return FussTableau(k=k, n=frame.n, sign=sign, columns=tuple(columns))
 
 
 def fill_tableau(sw: SWWord) -> FussTableau:
-    """Build the tableau of a Fuss SW word (one new column per S)."""
-    k, sign = _fuss_params(sw.frame)
-    columns = _fill_columns(sw.letters, k)
-    return FussTableau(
-        k=k, n=sw.frame.n, sign=sign, columns=tuple(tuple(c) for c in columns)
-    )
+    """Build the tableau of a Fuss SW word (one new column per S); O(m+n)."""
+    return _tableau(sw.frame, sw.as_path().steps)
 
 
 def path_tableau(path: DyckPath) -> FussTableau:
     """Tableau of the path's own step word; it encodes the sweep preimage."""
-    return fill_tableau(SWWord(path.frame, steps_to_sw(path.steps)))
+    return _tableau(path.frame, path.steps)
 
 
 def tableau_to_sw(T: FussTableau) -> SWWord:
@@ -303,75 +345,50 @@ def tableau_rank_labels(T: FussTableau) -> dict[int, int]:
     return rank
 
 
-def _invert_steps(m: int, n: int, k: int, sign: int, steps: str) -> str:
-    """Linear-time sweep inversion on raw arrays (hot path for benchmarks)."""
-    size = m + n
-    full = k + 1
-    grid = size - 1 if sign > 0 else size + 1
-    up = [0] * (grid + 2)
-    in_row1 = bytearray(grid + 2)
-    turn = [0] * (grid + 2)
-    bold = bytearray(grid + 2)
-    tops: list[int] = []
-    feet: list[int] = []
-    heights: list[int] = []
-    active: deque[int] = deque()
-    pop = active.popleft
-    push = active.append
-    for label in range(1, size):
-        if steps[label - 1] == "N":
-            in_row1[label] = 1
-            tops.append(label)
-            push(len(feet))
-            feet.append(label)
-            heights.append(1)
-        else:
-            if not active:
-                raise PrematureStall(f"no active column for label {label}")
-            c = pop()
-            up[label] = feet[c]
-            feet[c] = label
-            h = heights[c] + 1
-            heights[c] = h
-            if h < full:
-                push(c)
-    if sign < 0:
-        label = size
-        while active:
-            c = pop()
-            up[label] = feet[c]
-            feet[c] = label
-            h = heights[c] + 1
-            heights[c] = h
-            if h < full:
-                push(c)
-            label += 1
+def _invert_steps(steps: str, k: int, sign: int) -> str:
+    """Step word of the sweep preimage of a valid Fuss path word; O(m+n).
+
+    One ``_fill`` and one walk over flat arrays.  A row-1 label t spells N
+    and turns to its column's foot + sign, stored as ``up[t] = -(foot +
+    sign)``: row 1 has no label above, so a negative entry marks it.  Any
+    other label spells E, goes up one cell, then slides past bold labels
+    (foot + sign) against the sign.  For sign +1 the off-grid label m+n
+    goes up to m+n-1.  Raises NotSingleCycle unless the walk closes at
+    label 1 after m+n steps.
+    """
+    size = len(steps)
+    up, _, tops, feet = _fill(steps, k, sign)
+    if sign > 0:
+        up[size] = size - 1
+    bold = bytearray(len(up))
     for t, b in zip(tops, feet):
-        turn[t] = b + sign
+        up[t] = -(b + sign)
         bold[b + sign] = 1
 
-    out = [""] * size
+    out = bytearray(b"E") * size
     cur = 1
     for j in range(size):
-        if in_row1[cur]:
-            out[j] = "N"
-            cur = turn[cur]
+        r = up[cur]
+        if r < 0:
+            out[j] = 78  # ord("N")
+            cur = -r
         else:
-            out[j] = "E"
-            r = size - 1 if sign > 0 and cur == size else up[cur]
             while bold[r]:
                 r -= sign
             cur = r
     if cur != 1:
         raise NotSingleCycle("inversion walk does not close")
-    return "".join(out)
+    return out.decode("ascii")
 
 
 def invert_fuss(path: DyckPath) -> DyckPath:
-    """The sweep preimage of a Fuss path in O(m+n) time."""
+    """The sweep preimage of a Fuss path in O(m+n) time.
+
+    The input is trusted as validated; the preimage is validated again as
+    a DyckPath, which checks the walk's output in one more pass.
+    """
     k, sign = _fuss_params(path.frame)
-    word = _invert_steps(path.frame.m, path.frame.n, k, sign, path.steps)
-    return DyckPath(path.frame, word)
+    return DyckPath(path.frame, _invert_steps(path.steps, k, sign))
 
 
 def _first_row_word(k: int, n: int, t: tuple[int, ...]) -> SWWord:

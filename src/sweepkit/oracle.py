@@ -2,18 +2,21 @@
 
 Everything here goes through plain enumeration or a direct count and never
 calls the fast operations it exists to validate: no tableau walk, no linear
-inversion, no rank-sort dinv.
+inversion, no rank-sort dinv.  ``_fill_columns`` is the per-column list
+filling that the label-indexed ``fuss._fill`` replaced, kept as its
+reference.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 from typing import Iterator
 
 from .core import NORTH, DyckPath, enumerate_paths, make_frame
-from .errors import SearchExhausted
+from .errors import PrematureStall, SearchExhausted
 from .fuss import FussTableau, path_tableau
-from .sweep import sweep
+from .sweep import S_STEP, sweep
 
 
 @lru_cache(maxsize=64)
@@ -69,6 +72,26 @@ def oracle_dinv(path: DyckPath) -> int:
             if 0 < diff < size:
                 count += 1
     return count
+
+
+def _fill_columns(letters: str, k: int) -> list[list[int]]:
+    """Run the column filling over the first m+n-1 letters."""
+    columns: list[list[int]] = []
+    active: deque[int] = deque()
+    full = k + 1
+    for label, ch in enumerate(letters[:-1], start=1):
+        if ch == S_STEP:
+            active.append(len(columns))
+            columns.append([label])
+        else:
+            if not active:
+                raise PrematureStall(f"no active column for label {label}")
+            c = active.popleft()
+            col = columns[c]
+            col.append(label)
+            if len(col) < full:
+                active.append(c)
+    return columns
 
 
 def oracle_fiber(T_reduced: FussTableau) -> list[DyckPath]:

@@ -9,7 +9,7 @@ sequence of the preimage, which is what bipartite_invert exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     EAST,
@@ -21,7 +21,7 @@ from .core import (
     enumerate_paths,
     parse_path,
 )
-from .errors import InconsistentPair, NotFuss, SearchExhausted
+from .errors import FrameTooLarge, InconsistentPair, NotFuss, SearchExhausted
 
 S_STEP = "S"
 W_STEP = "W"
@@ -45,13 +45,17 @@ class SWWord:
 
     frame: Frame
     letters: str
+    _path: DyckPath = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        parse_path(self.frame, sw_to_steps(self.letters))
+        object.__setattr__(self, "_path", parse_path(self.frame, sw_to_steps(self.letters)))
 
     def as_path(self) -> DyckPath:
-        """The path drawn by reading the letters left to right (S up, W right)."""
-        return DyckPath(self.frame, sw_to_steps(self.letters))
+        """The path drawn by reading the letters left to right (S up, W right).
+
+        Validated once, when the word was built; no second parse.
+        """
+        return self._path
 
 
 @dataclass(frozen=True)
@@ -132,8 +136,24 @@ def bipartite_invert(sw: SWWord, en: ENWord) -> tuple[DyckPath, RankSequence]:
     return DyckPath(sw.frame, word), RankSequence(tuple(rank_at))
 
 
+# Most paths brute_invert_sweep will search; a worst-case search of the
+# 84,825 paths of (24, 7) takes about 1.6 s (CPython 3.11, x86-64).
+BRUTE_PATH_LIMIT = 100_000
+
+
 def brute_invert_sweep(path: DyckPath) -> DyckPath:
-    """Search the whole frame for the unique sweep preimage."""
+    """Search the whole frame for the unique sweep preimage.
+
+    Refuses, with FrameTooLarge, frames of more than BRUTE_PATH_LIMIT paths.
+    """
+    from .qtcatalan import path_count
+
+    count = path_count(path.frame)
+    if count > BRUTE_PATH_LIMIT:
+        raise FrameTooLarge(
+            f"({path.frame.m}, {path.frame.n}) has {count} paths, brute search "
+            f"is limited to {BRUTE_PATH_LIMIT}"
+        )
     for candidate in enumerate_paths(path.frame):
         if sweep(candidate) == path:
             return candidate

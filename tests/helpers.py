@@ -27,6 +27,26 @@ def frame_paths(m, n) -> tuple[DyckPath, ...]:
     return tuple(enumerate_paths(make_frame(m, n)))
 
 
+def prefix_scan(m, n, word):
+    """Independent path check: None if valid, else the error it must raise.
+
+    Returns ("counts",) unless the word has exactly n N's and m E's, else
+    ("below", p) for the first prefix p with b*m - a*n < 0 (b North and a
+    East steps so far), else None.
+    """
+    if len(word) != m + n or word.count("N") != n or word.count("E") != m:
+        return ("counts",)
+    b = a = 0
+    for p, ch in enumerate(word, start=1):
+        if ch == "N":
+            b += 1
+        else:
+            a += 1
+        if b * m - a * n < 0:
+            return ("below", p)
+    return None
+
+
 # Worked example on the (7,5) frame.
 FIG_FRAME = (7, 5)
 FIG_WORD = "NNENEENEENEE"

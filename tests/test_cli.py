@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sweepkit import en_word, make_frame, sw_to_steps, sw_word
+from sweepkit.bench import random_path
 from sweepkit.cli import main
 from helpers import FIG_EN, FIG_RANK_SEQUENCE, FIG_SW, FIG_WORD
 
@@ -73,6 +79,13 @@ class TestSweepInvert:
         code, _, _ = run(capsys, "invert", "--m", "7", "--n", "5",
                         "--word", FIG_EN, "--word-kind", "en")
         assert code == 2
+
+    def test_brute_refuses_large_frame(self, capsys):
+        # (41, 20) has about 1.02e14 paths.
+        code, out, err = run(capsys, "invert", "--m", "41", "--n", "20",
+                             "--word", "N" * 20 + "E" * 41, "--method", "brute")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_identity_on_strip(self, capsys):
         _, out, _ = run(capsys, "invert", "--m", "4", "--n", "1", "--word", "NEEEE")
@@ -205,12 +218,13 @@ class TestRender:
 class TestBench:
     def test_csv_shape_and_determinism(self, capsys):
         args = ("bench", "--k", "2", "--sizes", "40,80", "--reps", "2", "--seed", "7")
-        _, out1, _ = run(capsys, *args)
+        _, out1, err = run(capsys, *args)
         lines = out1.strip().splitlines()
         assert lines[0] == "k,n,m,steps,mean_ns,reps"
         assert len(lines) == 3
         k, n, m, steps, _, reps = lines[1].split(",")
         assert (k, n, m, steps, reps) == ("2", "40", "81", "121", "2")
+        assert err.startswith("# n=80: time x") and err.endswith(" for n x2.00\n")
 
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("SWEEPKIT_SEED", "123")
@@ -230,3 +244,62 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--max-steps", "9")
         assert code == 0
         assert out.count("ok") == 3
+
+
+FUZZ_COMMANDS = [
+    ["stats"],
+    ["sweep"],
+    ["invert", "--method=fuss"],
+    ["invert", "--method=bipartite"],
+    ["invert", "--method=brute"],
+    ["tableau"],
+]
+FUZZ_TEXT = st.one_of(st.text(max_size=40), st.text(alphabet="NESWnesw", max_size=40))
+FUZZ_TABLEAU = st.one_of(
+    st.text(max_size=60),
+    st.builds(
+        json.dumps,
+        st.fixed_dictionaries({
+            "k": st.integers(-1, 3),
+            "n": st.integers(-1, 4),
+            "sign": st.integers(-2, 2),
+            "rows": st.lists(st.lists(st.integers(-1, 16), max_size=5), max_size=5),
+        }),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(FUZZ_COMMANDS),
+    n=st.integers(1, 30),
+    kind=st.sampled_from(["ne", "sw", "en"]),
+    data=st.data(),
+)
+def test_fuzzed_input_exits_cleanly(command, n, kind, data):
+    fuss_m = [k * n + s for k in range(1, 30) for s in (1, -1) if 1 <= k * n + s <= 30]
+    m = data.draw(st.integers(1, 30) | st.sampled_from(fuss_m), label="m")
+    if math.gcd(m, n) == 1 and data.draw(st.booleans(), label="valid path"):
+        # The SW/EN words of a valid path, so the success paths are reached too.
+        path = random_path(make_frame(m, n), data.draw(st.randoms(use_true_random=False)))
+        sw = sw_word(path).letters
+        word = sw if kind == "sw" else sw_to_steps(sw)
+        en = en_word(path).letters
+    else:
+        word = data.draw(FUZZ_TEXT, label="word")
+        en = data.draw(st.none() | FUZZ_TEXT, label="en word")
+    argv = command + [f"--m={m}", f"--n={n}", f"--word={word}", f"--word-kind={kind}"]
+    if en is not None and command[0] == "invert":
+        argv.append(f"--en-word={en}")
+    if command[0] == "tableau":
+        tableau = data.draw(st.none() | FUZZ_TABLEAU, label="tableau json")
+        if tableau is not None:
+            argv.append(f"--tableau-json={tableau}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert "Traceback" not in err.getvalue()

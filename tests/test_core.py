@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import pytest
 
 from sweepkit import (
     BelowDiagonal,
+    DyckPath,
     Fuss,
     NotCoprime,
     NotFuss,
@@ -28,6 +30,7 @@ from helpers import (
     FIG_WORD,
     coprime_frames,
     frame_paths,
+    prefix_scan,
 )
 
 
@@ -93,6 +96,32 @@ class TestParsePath:
     def test_json_roundtrip(self):
         path = fig_path()
         assert path_from_json(path.to_json()) == path
+
+    def test_accepts_exactly_the_scanned_words(self):
+        # Every N/E word of full length on every small coprime frame: the
+        # constructor raises what the independent prefix scan predicts,
+        # with the same first offending prefix.
+        for frame in coprime_frames(12):
+            for letters in itertools.product("NE", repeat=frame.size):
+                word = "".join(letters)
+                expected = prefix_scan(frame.m, frame.n, word)
+                try:
+                    DyckPath(frame, word)
+                    got = None
+                except WrongStepCounts:
+                    got = ("counts",)
+                except BelowDiagonal as err:
+                    got = ("below", err.prefix)
+                assert got == expected, (frame, word)
+
+    def test_direct_construction_rejects_other_letters(self):
+        # Right length and N count, but a letter that is not E.
+        for word in ("NNEeE", "NNEXE", "NN EE"):
+            with pytest.raises(WrongStepCounts):
+                DyckPath(make_frame(3, 2), word)
+
+    def test_sequence_input_is_joined(self):
+        assert parse_path(make_frame(3, 2), ["N", "n", "E", "e", "E"]).steps == "NNEEE"
 
 
 class TestRanks:

@@ -28,7 +28,7 @@ from sweepkit import (
     tableau_to_sw,
     walk,
 )
-from sweepkit.oracle import oracle_invert_sweep
+from sweepkit.oracle import _fill_columns, oracle_invert_sweep
 from helpers import (
     K3N4_PREIMAGE_SW,
     K3N4_REDUCED_WALK,
@@ -72,6 +72,18 @@ class TestFill:
         for frame in fuss_frames(13, sign=+1):
             for path in frame_paths(frame.m, frame.n):
                 path_tableau(path).validate()
+
+    def test_matches_per_column_reference(self):
+        # The label-indexed fill (rows by depth) against the per-column
+        # list filling, for both entry points, every path, both signs.
+        for frame in fuss_frames(14):
+            k = frame.fuss.k
+            for path in frame_paths(frame.m, frame.n):
+                word = sw_word(path)
+                expected = tuple(map(tuple, _fill_columns(word.letters, k)))
+                assert fill_tableau(word).columns == expected
+                own = tuple(map(tuple, _fill_columns(steps_to_sw(path.steps), k)))
+                assert path_tableau(path).columns == own
 
     def test_bijective_on_small_frames(self):
         for frame in fuss_frames(13, sign=+1):

@@ -22,23 +22,10 @@ from sweepkit import (
     walk,
 )
 from sweepkit.bench import random_path
-from helpers import coprime_frames, frame_paths
+from helpers import coprime_frames, frame_paths, prefix_scan
 
 SMALL_FRAMES = [f for f in coprime_frames(12)]
 FUSS_SMALL = [f for f in SMALL_FRAMES if f.fuss is not None]
-
-
-def _reference_valid(m, n, word):
-    """Direct prefix check: b*m - a*n >= 0 for every prefix."""
-    b = a = 0
-    for ch in word:
-        if ch == "N":
-            b += 1
-        else:
-            a += 1
-        if b * m - a * n < 0:
-            return False
-    return True
 
 
 def _lower_corner_valid(m, n, word):
@@ -80,17 +67,16 @@ def fuss_path(draw):
 @given(frame_and_word())
 def test_parse_accepts_iff_prefixes_stay_above(case):
     frame, word = case
-    ok = _reference_valid(frame.m, frame.n, word)
+    verdict = prefix_scan(frame.m, frame.n, word)
     try:
         parse_path(frame, word)
         accepted = True
     except (BelowDiagonal, WrongStepCounts):
         accepted = False
-    counts_ok = word.count("N") == frame.n
-    assert accepted == (ok and counts_ok)
-    if counts_ok:
+    assert accepted == (verdict is None)
+    if verdict != ("counts",):
         # Lower-corner prefixes alone decide validity.
-        assert ok == _lower_corner_valid(frame.m, frame.n, word)
+        assert (verdict is None) == _lower_corner_valid(frame.m, frame.n, word)
 
 
 @given(frame_and_path())

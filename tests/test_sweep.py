@@ -2,6 +2,7 @@ import pytest
 
 from sweepkit import (
     ENWord,
+    FrameTooLarge,
     InconsistentPair,
     NotFuss,
     SWWord,
@@ -53,6 +54,15 @@ class TestWords:
     def test_sw_word_is_valid_path_word(self):
         with pytest.raises(Exception):
             SWWord(make_frame(3, 2), "WSSWW")
+
+    def test_as_path_is_the_validated_path(self):
+        word = SWWord(make_frame(*FIG_FRAME), FIG_SW)
+        assert word.as_path() is word.as_path()
+        assert word.as_path() == sweep(fig_path())
+        # The stored path takes no part in equality, hashing or repr.
+        twin = SWWord(make_frame(*FIG_FRAME), FIG_SW)
+        assert twin == word and hash(twin) == hash(word)
+        assert repr(word) == f"SWWord(frame={word.frame!r}, letters={FIG_SW!r})"
 
     def test_en_word_validation(self):
         # A final E can never carry the largest rank.
@@ -180,3 +190,12 @@ class TestBruteInvert:
     def test_golden_pair(self):
         image = sweep(fig_path())
         assert brute_invert_sweep(image) == fig_path()
+
+    def test_refuses_frames_above_the_path_limit(self):
+        # (17, 9) has 120,175 paths; the search would visit them all.
+        frame = make_frame(17, 9)
+        path = parse_path(frame, "N" * 9 + "E" * 17)
+        with pytest.raises(FrameTooLarge):
+            brute_invert_sweep(path)
+        with pytest.raises(FrameTooLarge):
+            bounce(path, "brute")
