@@ -71,7 +71,6 @@ from .sweep import (
     SWWord,
     bipartite_invert,
     bounce,
-    brute_invert_sweep,
     cobounce,
     en_word,
     steps_to_sw,

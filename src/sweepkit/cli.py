@@ -28,7 +28,7 @@ from .core import (
 )
 from .errors import SweepkitError
 from .fuss import FussTableau, invert_fuss, path_tableau, walk
-from .oracle import oracle_dinv, oracle_invert_sweep
+from .oracle import _walk_order, oracle_dinv, oracle_invert_sweep
 from .qtcatalan import catalan_qt, catalan_qt_via_bounce, catalan_step, path_count
 from .reduction import fiber_by_cutting, red
 from .render import render_svg
@@ -36,7 +36,6 @@ from .sweep import (
     ENWord,
     SWWord,
     bipartite_invert,
-    brute_invert_sweep,
     steps_to_sw,
     sw_word,
     en_word,
@@ -104,12 +103,8 @@ def cmd_invert(args) -> int:
         path, rs = bipartite_invert(sw, en)
         print(json.dumps({**_path_json(path), "rank_sequence": list(rs)}))
         return 0
-    path = _path_from_args(args)
-    if args.method == "fuss":
-        preimage = invert_fuss(path)
-    else:
-        preimage = brute_invert_sweep(path)
-    print(json.dumps(_path_json(preimage)))
+    invert = invert_fuss if args.method == "fuss" else oracle_invert_sweep
+    print(json.dumps(_path_json(invert(_path_from_args(args)))))
     return 0
 
 
@@ -218,35 +213,26 @@ def cmd_verify(args) -> int:
           f"over {len(frames)} frames {'ok' if not failures else 'FAILED'}")
     total_failures += failures
 
-    failures = 0
-    fuss_checked = 0
+    inversion_failures = walk_failures = fuss_checked = 0
     for frame in frames:
         if frame.fuss is None:
             continue
         for D in enumerate_paths(frame):
-            if invert_fuss(D) != oracle_invert_sweep(D):
-                failures += 1
             fuss_checked += 1
-    print(f"linear inversion vs enumeration: {fuss_checked} paths "
-          f"{'ok' if not failures else 'FAILED'}")
-    total_failures += failures
-
-    failures = 0
-    tableau_checked = 0
-    for frame in frames:
-        if frame.fuss is None or frame.fuss.sign != +1:
-            continue
-        for D in enumerate_paths(frame):
+            if invert_fuss(D) != oracle_invert_sweep(D):
+                inversion_failures += 1
             T = path_tableau(D)
             try:
                 T.validate()
-                walk(T)
+                if walk(T).order != tuple(_walk_order(T.completed_columns(), T.sign)):
+                    walk_failures += 1
             except Exception:
-                failures += 1
-            tableau_checked += 1
-    print(f"tableau invariants and single-cycle walk: {tableau_checked} paths "
-          f"{'ok' if not failures else 'FAILED'}")
-    total_failures += failures
+                walk_failures += 1
+    print(f"linear inversion vs enumeration: {fuss_checked} paths "
+          f"{'ok' if not inversion_failures else 'FAILED'}")
+    print(f"tableau invariants and walk vs column walk: {fuss_checked} paths "
+          f"{'ok' if not walk_failures else 'FAILED'}")
+    total_failures += inversion_failures + walk_failures
 
     if total_failures:
         print(f"{total_failures} failures", file=sys.stderr)

@@ -125,8 +125,14 @@ def parse_path(frame: Frame, word: str | Sequence[str]) -> DyckPath:
 
 
 def path_from_json(text: str) -> DyckPath:
+    """Parse ``{"m": int, "n": int, "steps": str}`` and validate; ValueError on bad input."""
     data = json.loads(text)
-    return parse_path(make_frame(int(data["m"]), int(data["n"])), data["steps"])
+    if not isinstance(data, dict) or not {"m", "n", "steps"} <= data.keys():
+        raise ValueError("path JSON must be an object with keys m, n, steps")
+    m, n, steps = data["m"], data["n"], data["steps"]
+    if type(m) is not int or type(n) is not int or not isinstance(steps, str):
+        raise ValueError("path m and n must be integers and steps a string")
+    return parse_path(make_frame(m, n), steps)
 
 
 def ranks(path: DyckPath) -> tuple[int, ...]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from itertools import chain
+from itertools import accumulate, chain
 from dataclasses import dataclass
 
 from .core import DyckPath, Frame, make_frame
@@ -260,61 +260,62 @@ def en_from_tableau(T: FussTableau) -> ENWord:
     return ENWord(T.frame(), "".join(letters))
 
 
-def _walk_order(columns: tuple[tuple[int, ...], ...], sign: int) -> list[int]:
-    """Closed walk on completed columns whose entries may be any distinct ints.
+def _walk(steps: str, k: int, sign: int) -> tuple[str, list[int]]:
+    """The closed walk of a valid Fuss path word's tableau; O(m+n).
 
-    Entries are compared through their ordinals in the sorted label universe
-    (grid entries plus, for sign +1, one off-grid label just past the
-    maximum); turns land at foot ordinal +- 1 and the bold slide moves the
-    opposite way.  Raises NotSingleCycle unless every label is written
-    exactly once and the walk closes back at the smallest label.
+    One ``_fill`` and one walk over flat arrays.  A row-1 label t spells N
+    and turns to its column's foot + sign, stored as ``up[t] = -(foot +
+    sign)``: row 1 has no label above, so a negative entry marks it.  Any
+    other label spells E, goes up one cell, then slides past bold labels
+    (foot + sign) against the sign.  For sign +1 the off-grid label m+n
+    goes up to m+n-1.  Returns ``(letters, order)``: the step word of the
+    sweep preimage and the labels in visiting order, starting at 1.
+    Raises NotSingleCycle unless the walk closes at label 1 after m+n steps.
     """
-    universe = sorted({e for c in columns for e in c})
+    size = len(steps)
+    up, depth, tops, feet = _fill(steps, k, sign)
     if sign > 0:
-        universe.append(universe[-1] + 1)
-    ordinal = {e: i + 1 for i, e in enumerate(universe)}
-    size = len(universe) if sign > 0 else len(universe) - 1
+        up[size] = size - 1
+    bold = bytearray(len(up))
+    for t, b in zip(tops, feet):
+        up[t] = -(b + sign)
+        bold[b + sign] = 1
+    # Freed before the walk fills ``order``, so the peak stays that of the fill.
+    del depth, tops, feet
 
-    up = [0] * (len(universe) + 2)
-    in_row1 = bytearray(len(universe) + 2)
-    turn = [0] * (len(universe) + 2)
-    bold = bytearray(len(universe) + 2)
-    for col in columns:
-        top = ordinal[col[0]]
-        in_row1[top] = 1
-        foot = ordinal[col[-1]]
-        turn[top] = foot + sign
-        bold[foot + sign] = 1
-        for above, below in zip(col, col[1:]):
-            up[ordinal[below]] = ordinal[above]
-
-    order = []
-    seen = bytearray(len(universe) + 2)
+    out = bytearray(b"E") * size
+    order = [0] * size
     cur = 1
-    for _ in range(size):
-        if seen[cur]:
-            raise NotSingleCycle(f"label {universe[cur - 1]} visited twice")
-        seen[cur] = 1
-        order.append(universe[cur - 1])
-        if in_row1[cur]:
-            cur = turn[cur]
+    for j in range(size):
+        order[j] = cur
+        r = up[cur]
+        if r < 0:
+            out[j] = 78  # ord("N")
+            cur = -r
         else:
-            r = size if sign > 0 and cur == size else up[cur]
             while bold[r]:
                 r -= sign
             cur = r
     if cur != 1:
-        raise NotSingleCycle("walk does not close at the smallest label")
-    expected = set(universe[:size]) if sign < 0 else set(universe)
-    if set(order) != expected:
-        raise NotSingleCycle("walk misses labels")
-    return order
+        raise NotSingleCycle("walk does not close at label 1")
+    return out.decode("ascii"), order
+
+
+def _tableau_walk(T: FussTableau) -> tuple[str, list[int]]:
+    """``_walk`` over the tableau's own word; NotSingleCycle if a label repeats."""
+    letters, order = _walk(tableau_to_sw(T).as_path().steps, T.k, T.sign)
+    if len(set(order)) != T.size:
+        raise NotSingleCycle("walk visits a label twice")
+    return letters, order
 
 
 def walk(T: FussTableau) -> WalkPermutation:
-    """The single-cycle walk through the labels 1 .. m+n."""
-    order = _walk_order(T.completed_columns(), T.sign)
-    return WalkPermutation(order=tuple(order))
+    """The single-cycle walk through the labels 1 .. m+n.
+
+    ``T`` is trusted as valid, as every constructor and ``from_json`` give
+    it; the reference walk over the columns is ``oracle._walk_order``.
+    """
+    return WalkPermutation(order=tuple(_tableau_walk(T)[1]))
 
 
 def reduced_walk(T: FussTableau) -> tuple[int, ...]:
@@ -327,7 +328,10 @@ def reduced_walk(T: FussTableau) -> tuple[int, ...]:
         raise ValueError("reduced walk requires a sign +1 tableau")
     if T.n < 2:
         raise ValueError("reduced walk needs at least two columns")
-    return tuple(_walk_order(T.columns[1:], +1))
+    column1 = set(T.columns[0])
+    rest = [label for label in walk(T).order if label not in column1]
+    at = rest.index(min(rest))
+    return tuple(rest[at:] + rest[:at])
 
 
 def tableau_rank_labels(T: FussTableau) -> dict[int, int]:
@@ -337,48 +341,8 @@ def tableau_rank_labels(T: FussTableau) -> dict[int, int]:
     sweeping the reconstructed preimage returns the original path.
     """
     m, n = T.m, T.n
-    row1 = set(T.first_row())
-    order = walk(T).order
-    rank = {1: 0}
-    for a, b in zip(order, order[1:]):
-        rank[b] = rank[a] + (m if a in row1 else -n)
-    return rank
-
-
-def _invert_steps(steps: str, k: int, sign: int) -> str:
-    """Step word of the sweep preimage of a valid Fuss path word; O(m+n).
-
-    One ``_fill`` and one walk over flat arrays.  A row-1 label t spells N
-    and turns to its column's foot + sign, stored as ``up[t] = -(foot +
-    sign)``: row 1 has no label above, so a negative entry marks it.  Any
-    other label spells E, goes up one cell, then slides past bold labels
-    (foot + sign) against the sign.  For sign +1 the off-grid label m+n
-    goes up to m+n-1.  Raises NotSingleCycle unless the walk closes at
-    label 1 after m+n steps.
-    """
-    size = len(steps)
-    up, _, tops, feet = _fill(steps, k, sign)
-    if sign > 0:
-        up[size] = size - 1
-    bold = bytearray(len(up))
-    for t, b in zip(tops, feet):
-        up[t] = -(b + sign)
-        bold[b + sign] = 1
-
-    out = bytearray(b"E") * size
-    cur = 1
-    for j in range(size):
-        r = up[cur]
-        if r < 0:
-            out[j] = 78  # ord("N")
-            cur = -r
-        else:
-            while bold[r]:
-                r -= sign
-            cur = r
-    if cur != 1:
-        raise NotSingleCycle("inversion walk does not close")
-    return out.decode("ascii")
+    letters, order = _tableau_walk(T)
+    return dict(zip(order, accumulate((m if ch == "N" else -n for ch in letters), initial=0)))
 
 
 def invert_fuss(path: DyckPath) -> DyckPath:
@@ -388,7 +352,7 @@ def invert_fuss(path: DyckPath) -> DyckPath:
     a DyckPath, which checks the walk's output in one more pass.
     """
     k, sign = _fuss_params(path.frame)
-    return DyckPath(path.frame, _invert_steps(path.steps, k, sign))
+    return DyckPath(path.frame, _walk(path.steps, k, sign)[0])
 
 
 def _first_row_word(k: int, n: int, t: tuple[int, ...]) -> SWWord:

@@ -18,10 +18,10 @@ from .core import (
     Frame,
     RankSequence,
     _rank_typed_letters,
-    enumerate_paths,
+    area,
     parse_path,
 )
-from .errors import FrameTooLarge, InconsistentPair, NotFuss, SearchExhausted
+from .errors import InconsistentPair, NotFuss
 
 S_STEP = "S"
 W_STEP = "W"
@@ -48,7 +48,11 @@ class SWWord:
     _path: DyckPath = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_path", parse_path(self.frame, sw_to_steps(self.letters)))
+        letters = self.letters
+        if letters.count(S_STEP) + letters.count(W_STEP) != len(letters):
+            bad = set(letters) - {S_STEP, W_STEP}
+            raise ValueError(f"SW word may only contain S and W, got {sorted(bad)}")
+        object.__setattr__(self, "_path", parse_path(self.frame, sw_to_steps(letters)))
 
     def as_path(self) -> DyckPath:
         """The path drawn by reading the letters left to right (S up, W right).
@@ -136,47 +140,15 @@ def bipartite_invert(sw: SWWord, en: ENWord) -> tuple[DyckPath, RankSequence]:
     return DyckPath(sw.frame, word), RankSequence(tuple(rank_at))
 
 
-# Most paths brute_invert_sweep will search; a worst-case search of the
-# 84,825 paths of (24, 7) takes about 1.6 s (CPython 3.11, x86-64).
-BRUTE_PATH_LIMIT = 100_000
-
-
-def brute_invert_sweep(path: DyckPath) -> DyckPath:
-    """Search the whole frame for the unique sweep preimage.
-
-    Refuses, with FrameTooLarge, frames of more than BRUTE_PATH_LIMIT paths.
-    """
-    from .qtcatalan import path_count
-
-    count = path_count(path.frame)
-    if count > BRUTE_PATH_LIMIT:
-        raise FrameTooLarge(
-            f"({path.frame.m}, {path.frame.n}) has {count} paths, brute search "
-            f"is limited to {BRUTE_PATH_LIMIT}"
-        )
-    for candidate in enumerate_paths(path.frame):
-        if sweep(candidate) == path:
-            return candidate
-    raise SearchExhausted(f"no sweep preimage found for {path.steps}")
-
-
-def bounce(path: DyckPath, strategy: str = "fuss") -> int:
+def bounce(path: DyckPath) -> int:
     """area of the sweep preimage, bounce(D) = area(sweep^-1(D)).
 
-    strategy "fuss" uses the linear-time tableau inversion (Fuss frames
-    only); "brute" enumerates the frame.
+    Uses the linear-time tableau inversion, so Fuss frames only (NotFuss
+    otherwise).
     """
-    from .core import area
+    from .fuss import invert_fuss
 
-    if strategy == "fuss":
-        if path.frame.fuss is None:
-            raise NotFuss(f"({path.frame.m}, {path.frame.n}) is not a Fuss frame")
-        from .fuss import invert_fuss
-
-        return area(invert_fuss(path))
-    if strategy == "brute":
-        return area(brute_invert_sweep(path))
-    raise ValueError(f"unknown bounce strategy {strategy!r}")
+    return area(invert_fuss(path))
 
 
 def cobounce(path: DyckPath) -> int:

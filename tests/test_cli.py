@@ -7,10 +7,10 @@ import xml.etree.ElementTree as ET
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sweepkit import en_word, make_frame, sw_to_steps, sw_word
+from sweepkit import en_word, make_frame, path_count, sw_to_steps, sw_word
 from sweepkit.bench import random_path
 from sweepkit.cli import main
-from helpers import FIG_EN, FIG_RANK_SEQUENCE, FIG_SW, FIG_WORD
+from helpers import FIG_EN, FIG_RANK_SEQUENCE, FIG_SW, FIG_WORD, fuss_frames
 
 
 def run(capsys, *argv):
@@ -37,6 +37,12 @@ class TestStats:
     def test_area_example(self, capsys):
         _, out, _ = run(capsys, "stats", "--m", "3", "--n", "2", "--word", "NNEEE")
         assert json.loads(out)["area"] == 1
+
+    def test_sw_kind_rejects_ne_letters(self, capsys):
+        code, out, err = run(capsys, "stats", "--m", "3", "--n", "1", "--word", "NEEE",
+                             "--word-kind", "sw")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_domain_error_exit_2(self, capsys):
         code, _, err = run(capsys, "stats", "--m", "6", "--n", "4", "--word", "N" * 10)
@@ -244,6 +250,10 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--max-steps", "9")
         assert code == 0
         assert out.count("ok") == 3
+        # Both Fuss suites cover every path of every Fuss frame, both signs.
+        fuss_paths = sum(path_count(f) for f in fuss_frames(9))
+        assert f"linear inversion vs enumeration: {fuss_paths} paths ok" in out
+        assert f"tableau invariants and walk vs column walk: {fuss_paths} paths ok" in out
 
 
 FUZZ_COMMANDS = [

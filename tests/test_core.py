@@ -97,6 +97,22 @@ class TestParsePath:
         path = fig_path()
         assert path_from_json(path.to_json()) == path
 
+    @pytest.mark.parametrize("text", [
+        '{"m": 3.7, "n": true, "steps": "NEEE"}',
+        '{"m": 3.0, "n": 1, "steps": "NEEE"}',
+        '{"m": "3", "n": 1, "steps": "NEEE"}',
+        '{"m": 3, "n": false, "steps": "NEEE"}',
+        '{"m": 3, "n": 1, "steps": ["N", "E", "E", "E"]}',
+        '{"m": 3, "n": 1}',
+        '{"n": 1, "steps": "NEEE"}',
+        '[3, 1, "NEEE"]',
+        '"NEEE"',
+        'null',
+    ])
+    def test_json_schema_rejected(self, text):
+        with pytest.raises(ValueError):
+            path_from_json(text)
+
     def test_accepts_exactly_the_scanned_words(self):
         # Every N/E word of full length on every small coprime frame: the
         # constructor raises what the independent prefix scan predicts,

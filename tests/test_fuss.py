@@ -8,7 +8,6 @@ from sweepkit import (
     RowConstraintViolated,
     SWWord,
     bold_set,
-    brute_invert_sweep,
     en_from_tableau,
     en_word,
     enumerate_paths,
@@ -28,7 +27,7 @@ from sweepkit import (
     tableau_to_sw,
     walk,
 )
-from sweepkit.oracle import _fill_columns, oracle_invert_sweep
+from sweepkit.oracle import _fill_columns, _walk_order, oracle_invert_sweep
 from helpers import (
     K3N4_PREIMAGE_SW,
     K3N4_REDUCED_WALK,
@@ -174,6 +173,22 @@ class TestWalk:
                 at = spliced.index(reduced[0])
                 assert spliced[at:] + spliced[:at] == reduced
 
+    def test_matches_reference_column_walk_both_signs(self):
+        for frame in fuss_frames(14):
+            for path in frame_paths(frame.m, frame.n):
+                T = path_tableau(path)
+                expected = tuple(_walk_order(T.completed_columns(), T.sign))
+                assert walk(T).order == expected, (frame, path.steps)
+
+    def test_reduced_matches_reference_column_walk(self):
+        for frame in fuss_frames(14, sign=+1):
+            if frame.n < 2:
+                continue
+            for path in frame_paths(frame.m, frame.n):
+                T = path_tableau(path)
+                expected = tuple(_walk_order(T.columns[1:], +1))
+                assert reduced_walk(T) == expected, (frame, path.steps)
+
 
 class TestRankLabels:
     def test_strictly_increasing(self):
@@ -225,7 +240,7 @@ class TestInvertFuss:
     def test_agrees_with_brute(self):
         frame = make_frame(7, 3)
         for path in frame_paths(7, 3):
-            assert invert_fuss(path) == brute_invert_sweep(path)
+            assert invert_fuss(path) == oracle_invert_sweep(path)
 
 
 class TestRowConstructors:

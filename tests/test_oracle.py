@@ -1,4 +1,7 @@
+import pytest
+
 from sweepkit import (
+    FrameTooLarge,
     area,
     dinv,
     make_frame,
@@ -10,6 +13,7 @@ from sweepkit import (
     tableau_from_first_row,
 )
 from sweepkit.oracle import (
+    _sweep_images,
     enumerate_tableaux,
     oracle_dinv,
     oracle_fiber,
@@ -40,6 +44,19 @@ def test_oracle_invert_inverts_sweep():
     for frame in coprime_frames(11):
         for path in frame_paths(frame.m, frame.n):
             assert oracle_invert_sweep(sweep(path)) == path
+
+
+def test_refuses_frames_above_the_path_limit():
+    # (17, 9) has 120,175 paths; the table would hold them all.
+    frame = make_frame(17, 9)
+    path = parse_path(frame, "N" * 9 + "E" * 17)
+    cached = _sweep_images.cache_info().currsize
+    with pytest.raises(FrameTooLarge):
+        oracle_invert_sweep(path)
+    with pytest.raises(FrameTooLarge):
+        area(oracle_invert_sweep(path))
+    # Refused before the image table is built or cached.
+    assert _sweep_images.cache_info().currsize == cached
 
 
 def test_oracle_fiber_golden_seven():

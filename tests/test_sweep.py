@@ -2,14 +2,12 @@ import pytest
 
 from sweepkit import (
     ENWord,
-    FrameTooLarge,
     InconsistentPair,
     NotFuss,
     SWWord,
     area,
     bipartite_invert,
     bounce,
-    brute_invert_sweep,
     dinv,
     en_word,
     make_frame,
@@ -30,6 +28,7 @@ from helpers import (
     coprime_frames,
     frame_paths,
 )
+from sweepkit.oracle import oracle_invert_sweep
 
 
 def fig_path():
@@ -54,6 +53,12 @@ class TestWords:
     def test_sw_word_is_valid_path_word(self):
         with pytest.raises(Exception):
             SWWord(make_frame(3, 2), "WSSWW")
+
+    def test_sw_word_rejects_other_letters(self):
+        # N/E words of the right shape, and mixtures, used to pass through.
+        for letters in ("NEEE", "SEEE", "SWWE", "swww", "S WW"):
+            with pytest.raises(ValueError):
+                SWWord(make_frame(3, 1), letters)
 
     def test_as_path_is_the_validated_path(self):
         word = SWWord(make_frame(*FIG_FRAME), FIG_SW)
@@ -158,44 +163,35 @@ class TestBipartiteInvert:
 class TestBounce:
     def test_small(self):
         frame = make_frame(3, 2)
-        assert bounce(parse_path(frame, "NNEEE"), "brute") == 0
-        assert bounce(parse_path(frame, "NENEE"), "brute") == 1
-        assert bounce(parse_path(frame, "NNEEE"), "fuss") == 0
-        assert bounce(parse_path(frame, "NENEE"), "fuss") == 1
+        assert area(oracle_invert_sweep(parse_path(frame, "NNEEE"))) == 0
+        assert area(oracle_invert_sweep(parse_path(frame, "NENEE"))) == 1
+        assert bounce(parse_path(frame, "NNEEE")) == 0
+        assert bounce(parse_path(frame, "NENEE")) == 1
 
     def test_strip(self):
         assert bounce(parse_path(make_frame(3, 1), "NEEE")) == 0
 
     def test_fuss_requires_fuss_frame(self):
         with pytest.raises(NotFuss):
-            bounce(fig_path(), "fuss")
+            bounce(fig_path())
 
     def test_strategies_agree(self):
         for frame in coprime_frames(11):
             if frame.fuss is None:
                 continue
             for path in frame_paths(frame.m, frame.n):
-                assert bounce(path, "fuss") == bounce(path, "brute")
+                assert bounce(path) == area(oracle_invert_sweep(path))
 
 
 class TestBruteInvert:
     def test_small(self):
         frame = make_frame(3, 2)
-        assert brute_invert_sweep(parse_path(frame, "NNEEE")).steps == "NENEE"
+        assert oracle_invert_sweep(parse_path(frame, "NNEEE")).steps == "NENEE"
 
     def test_strip_identity(self):
         path = parse_path(make_frame(3, 1), "NEEE")
-        assert brute_invert_sweep(path) == path
+        assert oracle_invert_sweep(path) == path
 
     def test_golden_pair(self):
         image = sweep(fig_path())
-        assert brute_invert_sweep(image) == fig_path()
-
-    def test_refuses_frames_above_the_path_limit(self):
-        # (17, 9) has 120,175 paths; the search would visit them all.
-        frame = make_frame(17, 9)
-        path = parse_path(frame, "N" * 9 + "E" * 17)
-        with pytest.raises(FrameTooLarge):
-            brute_invert_sweep(path)
-        with pytest.raises(FrameTooLarge):
-            bounce(path, "brute")
+        assert oracle_invert_sweep(image) == fig_path()
