@@ -10,24 +10,17 @@ from __future__ import annotations
 import random
 import time
 
-from .core import DyckPath, Frame, make_frame
+from .core import DyckPath, Frame, _lowest_rank_rotation, make_frame
 from .fuss import invert_fuss
 
 
 def random_path(frame: Frame, rng: random.Random) -> DyckPath:
     """Uniform random path of the frame in O(m+n)."""
     m, n = frame.m, frame.n
-    size = m + n
-    north_at = set(rng.sample(range(size), n))
-    word = ["N" if i in north_at else "E" for i in range(size)]
-    r = 0
-    best, best_at = 0, 0
-    for i, ch in enumerate(word):
-        if r < best:
-            best, best_at = r, i
-        r += m if ch == "N" else -n
-    rotated = "".join(word[best_at:] + word[:best_at])
-    return DyckPath(frame, rotated)
+    word = bytearray(b"E") * (m + n)
+    for i in rng.sample(range(m + n), n):
+        word[i] = 78  # ord("N")
+    return DyckPath(frame, _lowest_rank_rotation(m, n, word.decode("ascii")))
 
 
 def time_inversions(k: int, sizes: list[int], reps: int, seed: int) -> list[dict]:

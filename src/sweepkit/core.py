@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import indexOf
 from typing import Iterator, Optional, Sequence
 
 from .errors import BelowDiagonal, NotCoprime, NotFuss, WrongStepCounts
@@ -65,14 +66,20 @@ def make_frame(m: int, n: int) -> Frame:
     return Frame(m=m, n=n, fuss=fuss)
 
 
-def _prefix_ranks(m: int, n: int, steps: str) -> list[int]:
-    """Rank of the start vertex of each step (signed during validation)."""
-    out = []
-    r = 0
-    for ch in steps:
-        out.append(r)
-        r += m if ch == NORTH else -n
-    return out
+def _prefix_ranks(m: int, n: int, steps: str) -> Iterator[int]:
+    """Rank of the start vertex of each step of a word over {N, E}, lazily."""
+    return accumulate(map({NORTH: m, EAST: -n}.__getitem__, steps[:-1]), initial=0)
+
+
+def _lowest_rank_rotation(m: int, n: int, steps: str) -> str:
+    """The cyclic rotation of the word that starts at its lowest-rank vertex.
+
+    For a word of n N's and m E's, m and n coprime, this is the only
+    rotation that is a path of the frame (the cycle lemma).  Two C-level
+    passes over the start ranks, none of them stored.
+    """
+    i = indexOf(_prefix_ranks(m, n, steps), min(_prefix_ranks(m, n, steps)))
+    return steps[i:] + steps[:i]
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,12 @@
 
 Everything here goes through plain enumeration or a direct count and never
 calls the fast operations it exists to validate: no walk kernel, no linear
-inversion, no rank-sort dinv.  ``_fill_columns`` is the
-per-column list filling that the label-indexed ``fuss._fill`` replaced, and
-``_walk_order`` the walk over arbitrary columns that ``fuss._walk`` replaced;
-both are kept as references.  ``oracle_invert_sweep`` is the package's only
-brute-force sweep inversion.
+inversion, no rank-sort dinv.  ``_fill_columns`` is the per-column list
+filling that the label-indexed ``fuss._fill`` replaced, ``_walk_order`` the
+walk over arbitrary columns that ``fuss._walk`` replaced, and
+``oracle_bipartite_invert`` the position-list walk that
+``sweep.bipartite_invert`` replaced; all are kept as references.
+``oracle_invert_sweep`` is the package's only brute-force sweep inversion.
 """
 
 from __future__ import annotations
@@ -16,23 +17,38 @@ from collections import deque
 from functools import lru_cache
 from typing import Iterator
 
-from .core import NORTH, DyckPath, enumerate_paths, make_frame
-from .errors import FrameTooLarge, NotSingleCycle, PrematureStall, SearchExhausted
+from .core import EAST, NORTH, DyckPath, Frame, RankSequence, enumerate_paths, make_frame
+from .errors import (
+    FrameTooLarge,
+    InconsistentPair,
+    NotSingleCycle,
+    PrematureStall,
+    SearchExhausted,
+)
 from .fuss import FussTableau, path_tableau
 from .qtcatalan import path_count
-from .sweep import S_STEP, sweep
+from .sweep import S_STEP, W_STEP, ENWord, SWWord, sweep
 
 
-@lru_cache(maxsize=64)
+# One table near BRUTE_PATH_LIMIT holds about 15 MB, so only a few are kept.
+@lru_cache(maxsize=4)
 def _sweep_images(m: int, n: int) -> dict[str, str]:
     """steps of sweep(D) -> steps of D, over the whole frame."""
     frame = make_frame(m, n)
     return {sweep(D).steps: D.steps for D in enumerate_paths(frame)}
 
 
-# Most paths oracle_invert_sweep will enumerate; building the table of the
+# Most paths a brute search will enumerate; building the table of the
 # 84,825 paths of (24, 7) takes about 1.7 s (CPython 3.11, x86-64).
 BRUTE_PATH_LIMIT = 100_000
+
+
+def _refuse_large(frame: Frame) -> None:
+    """FrameTooLarge if the frame has more than BRUTE_PATH_LIMIT paths."""
+    count = path_count(frame)
+    if count > BRUTE_PATH_LIMIT:
+        raise FrameTooLarge(f"({frame.m}, {frame.n}) has {count} paths, brute search "
+                            f"is limited to {BRUTE_PATH_LIMIT}")
 
 
 def oracle_invert_sweep(path: DyckPath) -> DyckPath:
@@ -42,15 +58,61 @@ def oracle_invert_sweep(path: DyckPath) -> DyckPath:
     before the frame's image table is built or cached.
     """
     frame = path.frame
-    count = path_count(frame)
-    if count > BRUTE_PATH_LIMIT:
-        raise FrameTooLarge(f"({frame.m}, {frame.n}) has {count} paths, brute search "
-                            f"is limited to {BRUTE_PATH_LIMIT}")
+    _refuse_large(frame)
     table = _sweep_images(frame.m, frame.n)
     try:
         return DyckPath(frame, table[path.steps])
     except KeyError:
         raise SearchExhausted(f"no sweep preimage of {path.steps}") from None
+
+
+def oracle_bipartite_invert(sw: SWWord, en: ENWord) -> tuple[DyckPath, RankSequence]:
+    """Rebuild the unique common preimage from its SW and EN rank-order words.
+
+    Follow the Eulerian walk S_i -> N_i (rank +m) and W_j -> E_j (rank -n)
+    starting from rank 0 at the first position; the visiting order of
+    positions spells the preimage's step word and the per-position ranks
+    recover its rank sequence.  The per-letter position lists that
+    ``sweep.bipartite_invert`` replaced, kept as its reference.
+    """
+    if sw.frame != en.frame:
+        raise InconsistentPair("SW and EN words live on different frames")
+    m, n = sw.frame.m, sw.frame.n
+    size = m + n
+    s_positions = [i for i, ch in enumerate(sw.letters) if ch == S_STEP]
+    w_positions = [i for i, ch in enumerate(sw.letters) if ch == W_STEP]
+    n_positions = [i for i, ch in enumerate(en.letters) if ch == "N"]
+    e_positions = [i for i, ch in enumerate(en.letters) if ch == "E"]
+    if len(s_positions) != len(n_positions):
+        raise InconsistentPair("letter counts of the SW and EN words disagree")
+    index_within = [0] * size  # position -> its ordinal among its own letter kind
+    for arr in (s_positions, w_positions):
+        for i, p in enumerate(arr):
+            index_within[p] = i
+
+    rank_at = [0] * size
+    visited = [False] * size
+    order = []
+    pos = 0
+    r = 0
+    for _ in range(size):
+        if visited[pos]:
+            raise InconsistentPair(f"walk revisits position {pos + 1} before closing")
+        visited[pos] = True
+        order.append(pos)
+        rank_at[pos] = r
+        if sw.letters[pos] == S_STEP:
+            pos = n_positions[index_within[pos]]
+            r += m
+        else:
+            pos = e_positions[index_within[pos]]
+            r -= n
+    if pos != 0:
+        raise InconsistentPair("walk does not close at the starting position")
+    if any(rank_at[i] >= rank_at[i + 1] for i in range(size - 1)):
+        raise InconsistentPair("recovered ranks are not increasing along the words")
+    word = "".join(NORTH if sw.letters[p] == S_STEP else EAST for p in order)
+    return DyckPath(sw.frame, word), RankSequence(tuple(rank_at))
 
 
 def _east_heights(path: DyckPath) -> list[int]:
@@ -164,11 +226,16 @@ def _walk_order(columns: tuple[tuple[int, ...], ...], sign: int) -> list[int]:
 
 
 def oracle_fiber(T_reduced: FussTableau) -> list[DyckPath]:
-    """All paths one frame up whose reduced tableau equals T_reduced."""
+    """All paths one frame up whose reduced tableau equals T_reduced.
+
+    Refuses, with FrameTooLarge, a frame one up of more than
+    BRUTE_PATH_LIMIT paths, before enumerating it.
+    """
     from .reduction import red
 
     k, n = T_reduced.k, T_reduced.n + 1
     frame = make_frame(k * n + 1, n)
+    _refuse_large(frame)
     return [D for D in enumerate_paths(frame) if red(path_tableau(D)) == T_reduced]
 
 
@@ -191,8 +258,11 @@ def enumerate_tableaux(k: int, n: int) -> Iterator[FussTableau]:
 
     Fills the (k+1) x n rectangle with 1 .. (k+1)n keeping rows and columns
     increasing, then filters by the horizontal-strip condition; independent
-    of the column-filling algorithm.
+    of the column-filling algorithm.  Refuses, with FrameTooLarge, when the
+    (kn+1, n) frame has more than BRUTE_PATH_LIMIT paths, before the first
+    tableau is placed.
     """
+    _refuse_large(make_frame(k * n + 1, n))
     total = (k + 1) * n
     heights = [0] * n
     columns: list[list[int]] = [[] for _ in range(n)]
@@ -216,4 +286,4 @@ def enumerate_tableaux(k: int, n: int) -> Iterator[FussTableau]:
             heights[j] -= 1
             columns[j].pop()
 
-    yield from place(1)
+    return place(1)

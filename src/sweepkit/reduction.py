@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .core import DyckPath, make_frame, parse_path, ranks
+from .core import DyckPath, _lowest_rank_rotation, make_frame, parse_path, ranks
 from .errors import NotFuss, RankNotPresent, RankTooLarge, TooNarrow
 from .fuss import FussTableau, invert_fuss, tableau_from_bottom_row, tableau_to_sw
 from .sweep import sweep
@@ -131,12 +131,5 @@ def reduced_path_of(path: DyckPath) -> DyckPath:
     preimage = invert_fuss(path)
     middle = preimage.steps[1 : len(preimage.steps) - k]
     reduced_frame = make_frame(k * (frame.n - 1) + 1, frame.n - 1)
-    m_, n_ = reduced_frame.m, reduced_frame.n
-    r = 0
-    best, best_at = 0, 0
-    for i, ch in enumerate(middle):
-        if r < best:
-            best, best_at = r, i
-        r += m_ if ch == "N" else -n_
-    rotated = middle[best_at:] + middle[:best_at]
+    rotated = _lowest_rank_rotation(reduced_frame.m, reduced_frame.n, middle)
     return sweep(parse_path(reduced_frame, rotated))

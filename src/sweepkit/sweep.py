@@ -10,6 +10,8 @@ sequence of the preimage, which is what bipartite_invert exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import invert
 
 from .core import (
     EAST,
@@ -28,6 +30,9 @@ W_STEP = "W"
 
 _SW_TO_NE = str.maketrans("SW", "NE")
 _NE_TO_SW = str.maketrans("NE", "SW")
+# EN word bytes -> 1 at each N (resp. E), 0 elsewhere, for itertools.compress.
+_N_FLAGS = bytes.maketrans(b"NE", b"\1\0")
+_E_FLAGS = bytes.maketrans(b"NE", b"\0\1")
 
 
 def steps_to_sw(steps: str) -> str:
@@ -74,7 +79,11 @@ class ENWord:
     letters: str
 
     def __post_init__(self):
-        parse_path(self.frame, self.letters[::-1])
+        letters = self.letters
+        if letters.count(NORTH) + letters.count(EAST) != len(letters):
+            bad = set(letters) - {NORTH, EAST}
+            raise ValueError(f"EN word may only contain N and E, got {sorted(bad)}")
+        parse_path(self.frame, letters[::-1])
 
 
 def sw_word(path: DyckPath) -> SWWord:
@@ -98,46 +107,51 @@ def bipartite_invert(sw: SWWord, en: ENWord) -> tuple[DyckPath, RankSequence]:
     Follow the Eulerian walk S_i -> N_i (rank +m) and W_j -> E_j (rank -n)
     starting from rank 0 at the first position; the visiting order of
     positions spells the preimage's step word and the per-position ranks
-    recover its rank sequence.
+    recover its rank sequence.  One C-level merge builds the successor of
+    every position, ``~p`` for the N position p of an S and the E position
+    p of a W (the signed encoding of ``fuss._walk``); one loop walks it.
+    The reference walk is ``oracle.oracle_bipartite_invert``.
     """
     if sw.frame != en.frame:
         raise InconsistentPair("SW and EN words live on different frames")
     m, n = sw.frame.m, sw.frame.n
     size = m + n
-    s_positions = [i for i, ch in enumerate(sw.letters) if ch == S_STEP]
-    w_positions = [i for i, ch in enumerate(sw.letters) if ch == W_STEP]
-    n_positions = [i for i, ch in enumerate(en.letters) if ch == "N"]
-    e_positions = [i for i, ch in enumerate(en.letters) if ch == "E"]
-    if len(s_positions) != len(n_positions):
+    letters = sw.letters.encode()
+    targets = en.letters.encode()
+    if letters.count(b"S") != targets.count(b"N"):
         raise InconsistentPair("letter counts of the SW and EN words disagree")
-    index_within = [0] * size  # position -> its ordinal among its own letter kind
-    for arr in (s_positions, w_positions):
-        for i, p in enumerate(arr):
-            index_within[p] = i
+    positions = range(size)
+    # Each S pulls the next N position and each W the next E position, so
+    # the i-th S gets the i-th N and the j-th W the j-th E.
+    next_target = {
+        ord(S_STEP): map(invert, compress(positions, targets.translate(_N_FLAGS))),
+        ord(W_STEP): compress(positions, targets.translate(_E_FLAGS)),
+    }
+    succ = list(map(next, map(next_target.__getitem__, letters)))
 
-    rank_at = [0] * size
-    visited = [False] * size
-    order = []
+    rank_at: list[int | None] = [None] * size
+    out = bytearray(b"E") * size
     pos = 0
     r = 0
-    for _ in range(size):
-        if visited[pos]:
+    for j in positions:
+        if rank_at[pos] is not None:
             raise InconsistentPair(f"walk revisits position {pos + 1} before closing")
-        visited[pos] = True
-        order.append(pos)
         rank_at[pos] = r
-        if sw.letters[pos] == S_STEP:
-            pos = n_positions[index_within[pos]]
+        t = succ[pos]
+        if t < 0:
+            out[j] = 78  # ord("N")
             r += m
+            pos = ~t
         else:
-            pos = e_positions[index_within[pos]]
             r -= n
+            pos = t
     if pos != 0:
         raise InconsistentPair("walk does not close at the starting position")
-    if any(rank_at[i] >= rank_at[i + 1] for i in range(size - 1)):
-        raise InconsistentPair("recovered ranks are not increasing along the words")
-    word = "".join(NORTH if sw.letters[p] == S_STEP else EAST for p in order)
-    return DyckPath(sw.frame, word), RankSequence(tuple(rank_at))
+    try:
+        rs = RankSequence(tuple(rank_at))
+    except ValueError:
+        raise InconsistentPair("recovered ranks are not increasing along the words") from None
+    return DyckPath(sw.frame, out.decode("ascii")), rs
 
 
 def bounce(path: DyckPath) -> int:

@@ -22,6 +22,7 @@ from sweepkit import (
     ranks,
     sweep,
 )
+from sweepkit.core import _lowest_rank_rotation
 from helpers import (
     FIG_DINV,
     FIG_FRAME,
@@ -156,6 +157,15 @@ class TestRanks:
                 assert rs[0] == 0
                 assert min(rs) == 0
                 assert len(set(rs)) == len(rs)
+
+    def test_lowest_rank_rotation_is_the_cycle_lemma(self):
+        # Every rotation of a path word rotates back to the path itself.
+        for frame in coprime_frames(10):
+            for path in frame_paths(frame.m, frame.n):
+                word = path.steps
+                for i in range(len(word)):
+                    rotated = word[i:] + word[:i]
+                    assert _lowest_rank_rotation(frame.m, frame.n, rotated) == word
 
 
 class TestStatistics:

@@ -59,6 +59,28 @@ def test_refuses_frames_above_the_path_limit():
     assert _sweep_images.cache_info().currsize == cached
 
 
+def test_image_cache_stays_small():
+    # One table near the path limit holds about 15 MB.
+    maxsize = _sweep_images.cache_info().maxsize
+    assert maxsize <= 4
+    for frame in coprime_frames(9):
+        oracle_invert_sweep(sweep(frame_paths(frame.m, frame.n)[0]))
+        assert _sweep_images.cache_info().currsize <= maxsize
+
+
+def test_oracle_fiber_refuses_frames_above_the_path_limit():
+    # One frame up is (19, 9), with 246,675 paths.
+    T_reduced = path_tableau(parse_path(make_frame(17, 8), "N" * 8 + "E" * 17))
+    with pytest.raises(FrameTooLarge):
+        oracle_fiber(T_reduced)
+
+
+def test_enumerate_tableaux_refuses_frames_above_the_path_limit():
+    # Raised by the call itself, before the first tableau is placed.
+    with pytest.raises(FrameTooLarge):
+        enumerate_tableaux(2, 9)
+
+
 def test_oracle_fiber_golden_seven():
     T_reduced = red(tableau_from_first_row(3, 5, (1, 2, 5, 9, 15)))
     members = oracle_fiber(T_reduced)

@@ -28,7 +28,7 @@ from helpers import (
     coprime_frames,
     frame_paths,
 )
-from sweepkit.oracle import oracle_invert_sweep
+from sweepkit.oracle import oracle_bipartite_invert, oracle_invert_sweep
 
 
 def fig_path():
@@ -68,6 +68,12 @@ class TestWords:
         twin = SWWord(make_frame(*FIG_FRAME), FIG_SW)
         assert twin == word and hash(twin) == hash(word)
         assert repr(word) == f"SWWord(frame={word.frame!r}, letters={FIG_SW!r})"
+
+    def test_en_word_rejects_other_letters(self):
+        # parse_path upper-cases, so only the letter check rejects these.
+        for letters in ("eeeN", "EEEn", "WEEN", "EE N"):
+            with pytest.raises(ValueError):
+                ENWord(make_frame(3, 1), letters)
 
     def test_en_word_validation(self):
         # A final E can never carry the largest rank.
@@ -150,8 +156,29 @@ class TestBipartiteInvert:
         # whose pairing closes early.
         sw = sw_word(parse_path(frame, "NNEEE"))
         en = en_word(parse_path(frame, "NENEE"))
-        with pytest.raises(InconsistentPair):
+        with pytest.raises(InconsistentPair, match="revisits position 1 before closing"):
             bipartite_invert(sw, en)
+
+    def test_matches_reference_on_every_pair(self):
+        # Every (SW, EN) pair of every small frame, matched or not: the same
+        # path and rank sequence, or the same error class and message.
+        def outcome(invert, sw, en):
+            try:
+                return invert(sw, en)
+            except InconsistentPair as exc:
+                return type(exc), str(exc)
+
+        pairs = 0
+        for frame in coprime_frames(10):
+            paths = frame_paths(frame.m, frame.n)
+            ens = [en_word(path) for path in paths]
+            for path in paths:
+                sw = sw_word(path)
+                for en in ens:
+                    pairs += 1
+                    expected = outcome(oracle_bipartite_invert, sw, en)
+                    assert outcome(bipartite_invert, sw, en) == expected
+        assert pairs == 903
 
     def test_frame_mismatch(self):
         sw = sw_word(parse_path(make_frame(3, 2), "NNEEE"))
