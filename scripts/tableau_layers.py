@@ -1,0 +1,62 @@
+"""Time the Fuss tableau layers on one random path, one JSON line per layer.
+
+    python3 scripts/tableau_layers.py --n 1000000 --k 2 --sign 1 --reps 2
+    python3 scripts/tableau_layers.py --src OTHER_CHECKOUT/src ...
+
+Layers: invert_fuss, path_tableau, walk(T), tableau_rank_labels(T),
+T.validate() and FussTableau.from_json.  Every input is built outside the
+timer, and each timed call gets a tableau fresh from ``path_tableau``, so
+nothing an earlier call stored on it is reused.  A row reports the best of
+``--reps`` calls.  ``--src`` imports sweepkit from another checkout, so one
+script times two commits alike.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import sys
+from pathlib import Path
+from time import perf_counter
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--n", type=int, default=1_000_000)
+    parser.add_argument("--k", type=int, default=2)
+    parser.add_argument("--sign", type=int, choices=(1, -1), default=1)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--reps", type=int, default=2)
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
+    args = parser.parse_args()
+    sys.path.insert(0, args.src)
+    import sweepkit as sk
+    from sweepkit.bench import random_path
+
+    frame = sk.make_frame(args.k * args.n + args.sign, args.n)
+    path = random_path(frame, random.Random(args.seed))
+    text = sk.path_tableau(path).to_json()
+    layers = {
+        "invert_fuss": (lambda: path, sk.invert_fuss),
+        "path_tableau": (lambda: path, sk.path_tableau),
+        "walk": (lambda: sk.path_tableau(path), sk.walk),
+        "tableau_rank_labels": (lambda: sk.path_tableau(path), sk.tableau_rank_labels),
+        "validate": (lambda: sk.path_tableau(path), sk.FussTableau.validate),
+        "from_json": (lambda: text, sk.FussTableau.from_json),
+    }
+    for layer, (make_input, call) in layers.items():
+        best = float("inf")
+        for _ in range(args.reps):
+            arg = make_input()
+            t0 = perf_counter()
+            out = call(arg)
+            best = min(best, perf_counter() - t0)
+            del arg, out
+        row = {"layer": layer, "k": args.k, "sign": args.sign, "n": args.n,
+               "steps": frame.size, "best_s": round(best, 4), "reps": args.reps}
+        print(json.dumps(row), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -40,6 +40,7 @@ from .fuss import (
     fill_tableau,
     invert_fuss,
     path_tableau,
+    psi,
     reduced_walk,
     tableau_from_bottom_row,
     tableau_from_first_row,
@@ -61,7 +62,6 @@ from .reduction import (
     fiber_by_bottom_rows,
     fiber_by_cutting,
     fiber_count,
-    psi,
     red,
     reduced_path_of,
 )

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import indexOf
+from operator import indexOf, lt
 from typing import Iterator, Optional, Sequence
 
 from .errors import BelowDiagonal, NotCoprime, NotFuss, WrongStepCounts
@@ -156,7 +156,7 @@ class RankSequence:
     def __post_init__(self):
         if not self.values or self.values[0] != 0:
             raise ValueError("rank sequence must start at 0")
-        if any(a >= b for a, b in zip(self.values, self.values[1:])):
+        if not all(map(lt, self.values, self.values[1:])):
             raise ValueError("rank sequence must be strictly increasing")
 
     def __iter__(self):

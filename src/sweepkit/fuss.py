@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from itertools import accumulate, chain
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from itertools import accumulate, chain, zip_longest
+from operator import is_not
 
 from .core import DyckPath, Frame, make_frame
 from .errors import (
@@ -37,6 +39,19 @@ from .errors import (
 from .sweep import SWWord, ENWord, S_STEP, W_STEP
 
 
+def _transpose(lines) -> tuple[tuple[int, ...], ...]:
+    """Rows <-> columns of a ragged array of ints, with one C-level zip.
+
+    The gaps ``zip_longest`` pads with None are dropped, so entry i of the
+    result holds the i-th entries of the lines long enough to have one.
+    """
+    not_none = partial(is_not, None)
+    return tuple(
+        tuple(filter(not_none, line)) if None in line else line
+        for line in zip_longest(*lines)
+    )
+
+
 @dataclass(frozen=True)
 class FussTableau:
     """Column-filled array for a Fuss frame m = kn + sign.
@@ -45,12 +60,25 @@ class FussTableau:
     the full (k+1) x n rectangle; for sign -1 the shape is ragged, two cells
     short, and the two virtual labels m+n, m+n+1 live only in the completed
     view used by the walk.
+
+    Two hidden fields, outside equality, hashing, repr and JSON, keep what
+    one fill and one walk found.  ``_steps`` is the path word the columns
+    were filled from: the fills (``path_tableau``, ``fill_tableau``) and a
+    passing ``validate`` set it, and other tableaux derive it once, through
+    ``tableau_to_sw``, on first use.  ``_walked`` is ``(letters, order)`` of
+    the tableau's walk, set by the first walk; a walked tableau keeps its
+    order of m+n labels alive as long as it lives.  ``dataclasses.replace``
+    starts both afresh.
     """
 
     k: int
     n: int
     sign: int
     columns: tuple[tuple[int, ...], ...]
+    _steps: str | None = field(default=None, init=False, repr=False, compare=False)
+    _walked: tuple[str, tuple[int, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def m(self) -> int:
@@ -65,10 +93,7 @@ class FussTableau:
         return make_frame(self.m, self.n)
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        height = max(len(c) for c in self.columns)
-        return tuple(
-            tuple(c[i] for c in self.columns if len(c) > i) for i in range(height)
-        )
+        return _transpose(self.columns)
 
     def first_row(self) -> tuple[int, ...]:
         return tuple(c[0] for c in self.columns)
@@ -102,7 +127,8 @@ class FussTableau:
         tableaux: reading S at the first-row labels and W elsewhere must
         give a valid path word whose column filling is this tableau again.
         One sort of the labels plus linear passes; raises ValueError on
-        violation.
+        violation.  The round trip never reads the hidden fields; on success
+        it stores the word it refilled from.
         """
         k, n, sign = self.k, self.n, self.sign
         if sign not in (+1, -1) or k < 1 or n < 1:
@@ -118,6 +144,7 @@ class FussTableau:
             raise ValueError(f"tableau encodes no path: {exc}") from exc
         if refilled.columns != self.columns:
             raise ValueError("tableau is not the column filling of its first row")
+        object.__setattr__(self, "_steps", refilled._steps)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -142,11 +169,7 @@ class FussTableau:
             raise ValueError("tableau k, n, sign and entries must be integers")
         if any(len(a) < len(b) for a, b in zip(rows, rows[1:])):
             raise ValueError("tableau rows must not get longer downwards")
-        width = len(rows[0])
-        columns = tuple(
-            tuple(row[j] for row in rows if len(row) > j) for j in range(width)
-        )
-        tab = cls(k=k, n=n, sign=sign, columns=columns)
+        tab = cls(k=k, n=n, sign=sign, columns=_transpose(rows))
         tab.validate()
         return tab
 
@@ -226,7 +249,9 @@ def _tableau(frame: Frame, steps: str) -> FussTableau:
         # The virtual labels m+n, m+n+1 end the last one or two columns.
         size = frame.size
         columns[-2:] = [tuple(e for e in c if e < size) for c in columns[-2:]]
-    return FussTableau(k=k, n=frame.n, sign=sign, columns=tuple(columns))
+    T = FussTableau(k=k, n=frame.n, sign=sign, columns=tuple(columns))
+    object.__setattr__(T, "_steps", steps)
+    return T
 
 
 def fill_tableau(sw: SWWord) -> FussTableau:
@@ -301,12 +326,27 @@ def _walk(steps: str, k: int, sign: int) -> tuple[str, list[int]]:
     return out.decode("ascii"), order
 
 
-def _tableau_walk(T: FussTableau) -> tuple[str, list[int]]:
-    """``_walk`` over the tableau's own word; NotSingleCycle if a label repeats."""
-    letters, order = _walk(tableau_to_sw(T).as_path().steps, T.k, T.sign)
-    if len(set(order)) != T.size:
-        raise NotSingleCycle("walk visits a label twice")
-    return letters, order
+def _tableau_walk(T: FussTableau) -> tuple[str, tuple[int, ...]]:
+    """``_walk`` over the tableau's own word, run and checked once per tableau.
+
+    NotSingleCycle if a label repeats.  A word ``T`` does not carry is
+    derived, and stored, first.  The result is stored in ``T._walked``, so
+    every later walk, rank labelling or reduced walk of ``T`` reads it.
+    """
+    walked = T._walked
+    if walked is None:
+        steps = T._steps
+        if steps is None:
+            steps = tableau_to_sw(T).as_path().steps
+            object.__setattr__(T, "_steps", steps)
+        letters, order = _walk(steps, T.k, T.sign)
+        # Each step is a function of the current label alone, and the walk
+        # is back at 1 after m+n steps, so a label repeats iff 1 comes back early.
+        if order.count(1) != 1:
+            raise NotSingleCycle("walk visits a label twice")
+        walked = letters, tuple(order)
+        object.__setattr__(T, "_walked", walked)
+    return walked
 
 
 def walk(T: FussTableau) -> WalkPermutation:
@@ -315,7 +355,7 @@ def walk(T: FussTableau) -> WalkPermutation:
     ``T`` is trusted as valid, as every constructor and ``from_json`` give
     it; the reference walk over the columns is ``oracle._walk_order``.
     """
-    return WalkPermutation(order=tuple(_tableau_walk(T)[1]))
+    return WalkPermutation(order=_tableau_walk(T)[1])
 
 
 def reduced_walk(T: FussTableau) -> tuple[int, ...]:
@@ -329,7 +369,7 @@ def reduced_walk(T: FussTableau) -> tuple[int, ...]:
     if T.n < 2:
         raise ValueError("reduced walk needs at least two columns")
     column1 = set(T.columns[0])
-    rest = [label for label in walk(T).order if label not in column1]
+    rest = [label for label in _tableau_walk(T)[1] if label not in column1]
     at = rest.index(min(rest))
     return tuple(rest[at:] + rest[:at])
 
@@ -340,9 +380,9 @@ def tableau_rank_labels(T: FussTableau) -> dict[int, int]:
     Strictly increasing in the label, which is exactly the statement that
     sweeping the reconstructed preimage returns the original path.
     """
-    m, n = T.m, T.n
     letters, order = _tableau_walk(T)
-    return dict(zip(order, accumulate((m if ch == "N" else -n for ch in letters), initial=0)))
+    steps = map({"N": T.m, "E": -T.n}.__getitem__, letters)
+    return dict(zip(order, accumulate(steps, initial=0)))
 
 
 def invert_fuss(path: DyckPath) -> DyckPath:
@@ -393,7 +433,15 @@ def tableau_from_bottom_row(k: int, n: int, b) -> FussTableau:
         if j > 1 and bj <= b[j - 2]:
             raise RowConstraintViolated(j)
     mirror_top = tuple(total + 1 - bj for bj in reversed(b))
-    mirror = tableau_from_first_row(k, n, mirror_top)
-    from .reduction import psi
+    return psi(tableau_from_first_row(k, n, mirror_top))
 
-    return psi(mirror)
+
+def psi(T: FussTableau) -> FussTableau:
+    """Half-turn involution: entry (i, j) becomes (k+1)n+1 - T[k+2-i, n+1-j]."""
+    if T.sign != +1:
+        raise ValueError("psi is defined for sign +1 tableaux only")
+    total = (T.k + 1) * T.n
+    flipped = tuple(
+        tuple(total + 1 - e for e in reversed(col)) for col in reversed(T.columns)
+    )
+    return FussTableau(k=T.k, n=T.n, sign=+1, columns=flipped)

@@ -13,6 +13,7 @@ walk over arbitrary columns that ``fuss._walk`` replaced, and
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from functools import lru_cache
 from typing import Iterator
@@ -258,12 +259,21 @@ def enumerate_tableaux(k: int, n: int) -> Iterator[FussTableau]:
 
     Fills the (k+1) x n rectangle with 1 .. (k+1)n keeping rows and columns
     increasing, then filters by the horizontal-strip condition; independent
-    of the column-filling algorithm.  Refuses, with FrameTooLarge, when the
-    (kn+1, n) frame has more than BRUTE_PATH_LIMIT paths, before the first
-    tableau is placed.
+    of the column-filling algorithm.  The search visits every standard
+    tableau of the rectangle, not only the valid ones, so it refuses, with
+    FrameTooLarge, when their hook-length count exceeds BRUTE_PATH_LIMIT,
+    before the first tableau is placed.  That count bounds the (kn+1, n)
+    frame's path count from above.
     """
-    _refuse_large(make_frame(k * n + 1, n))
+    make_frame(k * n + 1, n)  # raises on k, n that give no frame
     total = (k + 1) * n
+    # Hook of cell (i, j) of a rectangle: i + j + 1 counted from its far corner.
+    searched = math.factorial(total) // math.prod(
+        i + j + 1 for i in range(k + 1) for j in range(n)
+    )
+    if searched > BRUTE_PATH_LIMIT:
+        raise FrameTooLarge(f"the {k + 1} x {n} rectangle has {searched} standard "
+                            f"tableaux, the search is limited to {BRUTE_PATH_LIMIT}")
     heights = [0] * n
     columns: list[list[int]] = [[] for _ in range(n)]
 

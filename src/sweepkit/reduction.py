@@ -14,7 +14,8 @@ from bisect import bisect_left
 
 from .core import DyckPath, _lowest_rank_rotation, make_frame, parse_path, ranks
 from .errors import NotFuss, RankNotPresent, RankTooLarge, TooNarrow
-from .fuss import FussTableau, invert_fuss, tableau_from_bottom_row, tableau_to_sw
+# psi lives in fuss and stays importable from here.
+from .fuss import FussTableau, invert_fuss, psi, tableau_from_bottom_row, tableau_to_sw
 from .sweep import sweep
 
 
@@ -33,16 +34,6 @@ def red(T: FussTableau) -> FussTableau:
         tuple(e - bisect_left(col1, e) for e in col) for col in T.columns[1:]
     )
     return FussTableau(k=T.k, n=T.n - 1, sign=+1, columns=new_columns)
-
-
-def psi(T: FussTableau) -> FussTableau:
-    """Half-turn involution: entry (i, j) becomes (k+1)n+1 - T[k+2-i, n+1-j]."""
-    _require_plus(T, "psi")
-    total = (T.k + 1) * T.n
-    flipped = tuple(
-        tuple(total + 1 - e for e in reversed(col)) for col in reversed(T.columns)
-    )
-    return FussTableau(k=T.k, n=T.n, sign=+1, columns=flipped)
 
 
 def fiber_count(T_reduced: FussTableau) -> int:
@@ -83,9 +74,15 @@ def cut_and_lift(preimage: DyckPath, r: int) -> DyckPath:
         i = ranks(preimage).index(r)
     except ValueError:
         raise RankNotPresent(f"rank {r} is not a vertex rank") from None
+    return _lift(preimage, i, k)
+
+
+def _lift(preimage: DyckPath, i: int, k: int) -> DyckPath:
+    """N B A E^k one frame up, for preimage = A B cut before step i; validated."""
+    frame = preimage.frame
     lifted_frame = make_frame(k * (frame.n + 1) + 1, frame.n + 1)
-    word = "N" + preimage.steps[i:] + preimage.steps[:i] + "E" * k
-    return parse_path(lifted_frame, word)
+    steps = preimage.steps
+    return parse_path(lifted_frame, "N" + steps[i:] + steps[:i] + "E" * k)
 
 
 def fiber_by_cutting(T_reduced: FussTableau) -> list[DyckPath]:
@@ -97,8 +94,10 @@ def fiber_by_cutting(T_reduced: FussTableau) -> list[DyckPath]:
     _require_plus(T_reduced, "fiber_by_cutting")
     reduced_path = tableau_to_sw(T_reduced).as_path()
     preimage = invert_fuss(reduced_path)
-    cut_ranks = sorted(r for r in ranks(preimage) if r < preimage.frame.m)
-    return [sweep(cut_and_lift(preimage, r)) for r in cut_ranks]
+    m = preimage.frame.m
+    # One rank pass: the cuts are the vertices of rank < m, by rank.
+    cuts = sorted((r, i) for i, r in enumerate(ranks(preimage)) if r < m)
+    return [sweep(_lift(preimage, i, T_reduced.k)) for _, i in cuts]
 
 
 def coarea_from_top_row(T: FussTableau) -> int:

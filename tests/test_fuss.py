@@ -1,6 +1,9 @@
+import dataclasses
 import itertools
 
 import pytest
+
+import sweepkit.fuss
 
 from sweepkit import (
     FussTableau,
@@ -9,6 +12,7 @@ from sweepkit import (
     SWWord,
     bold_set,
     en_from_tableau,
+    fiber_by_bottom_rows,
     en_word,
     enumerate_paths,
     fill_tableau,
@@ -17,6 +21,7 @@ from sweepkit import (
     parse_path,
     path_tableau,
     ranks,
+    red,
     reduced_walk,
     steps_to_sw,
     sw_word,
@@ -426,3 +431,105 @@ class TestMinusSignShape:
         path = parse_path(make_frame(2, 3), "NNENE")
         assert walk(path_tableau(path)).order == (1, 2, 4, 5, 3)
         assert invert_fuss(path).steps == "NNNEE"
+
+
+def built_five_ways(path):
+    """The tableau of a path from each constructor; ``red`` for sign +1 only."""
+    T = path_tableau(path)
+    built = [
+        T,
+        fill_tableau(sw_word(invert_fuss(path))),
+        FussTableau.from_json(T.to_json()),
+        FussTableau(k=T.k, n=T.n, sign=T.sign, columns=T.columns),
+    ]
+    if T.sign > 0:
+        # Any member of the fiber one column up reduces to T.
+        built.append(red(fiber_by_bottom_rows(T)[0]))
+    return built
+
+
+class TestCarriedWordAndWalk:
+    def test_every_construction_gives_the_same_answers(self):
+        for frame in fuss_frames(14):
+            for path in frame_paths(frame.m, frame.n):
+                built = built_five_ways(path)
+                assert len(built) == (5 if frame.fuss.sign > 0 else 4)
+                T = built[0]
+                expected = tuple(_walk_order(T.completed_columns(), T.sign))
+                labels = tableau_rank_labels(T)
+                en = en_from_tableau(T)
+                for U in built:
+                    assert walk(U).order == expected, (frame, path.steps)
+                    assert tableau_rank_labels(U) == labels
+                    assert en_from_tableau(U) == en
+                    assert U._steps == path.steps
+
+    def test_hidden_fields_stay_out_of_value_semantics(self):
+        for frame in fuss_frames(14):
+            for path in frame_paths(frame.m, frame.n):
+                fresh, *others = built_five_ways(path)
+                for U in others:
+                    walk(U)
+                    assert U == fresh and hash(U) == hash(fresh)
+                    assert repr(U) == repr(fresh)
+                    assert U.to_json() == fresh.to_json()
+                assert "_steps" not in repr(fresh) and "_walked" not in repr(fresh)
+
+    def test_which_constructors_carry_the_word(self):
+        path = SWWord(make_frame(13, 4), K3N4_SW).as_path()
+        fill_word = sw_word(invert_fuss(path))
+        T = path_tableau(path)
+        assert T._steps == path.steps and T._walked is None
+        assert fill_tableau(fill_word)._steps == path.steps
+        assert FussTableau.from_json(T.to_json())._steps == path.steps
+        assert FussTableau(k=3, n=4, sign=1, columns=T.columns)._steps is None
+        assert red(T)._steps is None
+        assert dataclasses.replace(T)._steps is None
+
+    def test_replace_does_not_inherit_a_stale_word(self):
+        for frame in fuss_frames(14):
+            paths = frame_paths(frame.m, frame.n)
+            for a, b in zip(paths, paths[1:]):
+                T = path_tableau(a)
+                walk(T)
+                U = dataclasses.replace(T, columns=path_tableau(b).columns)
+                assert U._steps is None and U._walked is None
+                fresh = path_tableau(b)
+                assert walk(U).order == walk(fresh).order
+                assert tableau_rank_labels(U) == tableau_rank_labels(fresh)
+                assert U._steps == b.steps
+
+    def test_one_walk_and_no_reparse_per_filled_tableau(self, monkeypatch):
+        calls = {"walk": 0, "to_sw": 0}
+        real_walk, real_to_sw = sweepkit.fuss._walk, sweepkit.fuss.tableau_to_sw
+
+        def counted_walk(*args):
+            calls["walk"] += 1
+            return real_walk(*args)
+
+        def counted_to_sw(T):
+            calls["to_sw"] += 1
+            return real_to_sw(T)
+
+        monkeypatch.setattr(sweepkit.fuss, "_walk", counted_walk)
+        monkeypatch.setattr(sweepkit.fuss, "tableau_to_sw", counted_to_sw)
+        T = k3n4_tableau()
+        order = walk(T).order
+        assert walk(T).order is order
+        tableau_rank_labels(T)
+        reduced_walk(T)
+        assert calls == {"walk": 1, "to_sw": 0}
+        # A tableau built from its columns derives its word once.
+        U = FussTableau(k=3, n=4, sign=1, columns=T.columns)
+        walk(U)
+        tableau_rank_labels(U)
+        assert calls == {"walk": 2, "to_sw": 1}
+
+    def test_validate_does_not_trust_the_carried_word(self):
+        good = path_tableau(parse_path(make_frame(5, 2), "NENEEEE"))
+        bad = FussTableau(k=2, n=2, sign=1, columns=((1, 2, 5), (3, 4, 6)))
+        # Same first row, so the same word, but 5 and 4 swapped.
+        assert good.first_row() == bad.first_row() and good != bad
+        object.__setattr__(bad, "_steps", good._steps)
+        with pytest.raises(ValueError, match="not the column filling"):
+            bad.validate()

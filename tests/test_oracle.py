@@ -81,6 +81,14 @@ def test_enumerate_tableaux_refuses_frames_above_the_path_limit():
         enumerate_tableaux(2, 9)
 
 
+def test_enumerate_tableaux_refuses_rectangles_of_many_tableaux():
+    # (15, 7) has 7,752 paths, but the 3 x 7 rectangle 1,385,670 standard
+    # tableaux, and the search visits every one.
+    assert path_count(make_frame(15, 7)) <= 100_000
+    with pytest.raises(FrameTooLarge, match="1385670 standard tableaux"):
+        enumerate_tableaux(2, 7)
+
+
 def test_oracle_fiber_golden_seven():
     T_reduced = red(tableau_from_first_row(3, 5, (1, 2, 5, 9, 15)))
     members = oracle_fiber(T_reduced)

@@ -82,6 +82,13 @@ class TestRed:
 
 
 class TestPsi:
+    def test_lives_in_fuss_and_is_re_exported(self):
+        import sweepkit
+        import sweepkit.fuss
+        import sweepkit.reduction
+
+        assert sweepkit.psi is sweepkit.fuss.psi is sweepkit.reduction.psi
+
     def test_golden(self):
         assert psi(big_reduced()).rows() == BIG_PSI_OF_REDUCED_ROWS
 
