@@ -28,7 +28,7 @@ from .core import (
 )
 from .errors import SweepkitError
 from .fuss import FussTableau, invert_fuss, path_tableau, walk
-from .oracle import _walk_order, oracle_dinv, oracle_invert_sweep
+from .oracle import _fill_columns, _walk_order, oracle_dinv, oracle_invert_sweep
 from .qtcatalan import catalan_qt, catalan_qt_via_bounce, catalan_step, path_count
 from .reduction import fiber_by_cutting, red
 from .render import render_svg
@@ -140,13 +140,12 @@ def cmd_fiber(args) -> int:
     return 0
 
 
+CATALAN_ROUTES = {"dinv-area": catalan_qt, "area-bounce": catalan_qt_via_bounce,
+                  "step": catalan_step}
+
+
 def cmd_catalan(args) -> int:
-    if args.via == "dinv-area":
-        poly = catalan_qt(args.k, args.n)
-    elif args.via == "area-bounce":
-        poly = catalan_qt_via_bounce(args.k, args.n)
-    else:
-        poly = catalan_step(args.k, args.n)
+    poly = CATALAN_ROUTES[args.via](args.k, args.n)
     print(poly.to_json())
     print(poly.pretty(), file=sys.stderr)
     return 0
@@ -222,9 +221,11 @@ def cmd_verify(args) -> int:
             if invert_fuss(D) != oracle_invert_sweep(D):
                 inversion_failures += 1
             T = path_tableau(D)
+            # The reference fill, with sign -1 continued by two virtual W's.
+            columns = _fill_columns(steps_to_sw(D.steps) + "WW" * (T.sign < 0), T.k)
             try:
                 T.validate()
-                if walk(T).order != tuple(_walk_order(T.completed_columns(), T.sign)):
+                if walk(T).order != tuple(_walk_order(columns, T.sign)):
                     walk_failures += 1
             except Exception:
                 walk_failures += 1
@@ -233,6 +234,18 @@ def cmd_verify(args) -> int:
     print(f"tableau invariants and walk vs column walk: {fuss_checked} paths "
           f"{'ok' if not walk_failures else 'FAILED'}")
     total_failures += inversion_failures + walk_failures
+
+    catalan_failures = 0
+    catalan_frames = [f for f in frames if f.fuss is not None and f.fuss.sign > 0]
+    for frame in catalan_frames:
+        k, n = frame.fuss.k, frame.n
+        # The step route builds the frame from the one a column narrower.
+        polys = [route(k, n) for via, route in CATALAN_ROUTES.items() if n >= 2 or via != "step"]
+        if any(p != polys[0] for p in polys) or polys[0].evaluate(1, 1) != path_count(frame):
+            catalan_failures += 1
+    print(f"q,t-Catalan routes and path counts: {len(catalan_frames)} frames "
+          f"{'ok' if not catalan_failures else 'FAILED'}")
+    total_failures += catalan_failures
 
     if total_failures:
         print(f"{total_failures} failures", file=sys.stderr)
@@ -283,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalan", help="higher q,t-Catalan polynomial")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--via", choices=["dinv-area", "area-bounce", "step"], default="dinv-area")
+    p.add_argument("--via", choices=list(CATALAN_ROUTES), default="dinv-area")
     p.set_defaults(func=cmd_catalan)
 
     p = sub.add_parser("count", help="number of paths of a frame")

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import accumulate, chain, zip_longest
 from operator import is_not
 
@@ -61,24 +61,16 @@ class FussTableau:
     short, and the two virtual labels m+n, m+n+1 live only in the completed
     view used by the walk.
 
-    Two hidden fields, outside equality, hashing, repr and JSON, keep what
-    one fill and one walk found.  ``_steps`` is the path word the columns
-    were filled from: the fills (``path_tableau``, ``fill_tableau``) and a
-    passing ``validate`` set it, and other tableaux derive it once, through
-    ``tableau_to_sw``, on first use.  ``_walked`` is ``(letters, order)`` of
-    the tableau's walk, set by the first walk; a walked tableau keeps its
-    order of m+n labels alive as long as it lives.  ``dataclasses.replace``
-    starts both afresh.
+    The first walk is kept in ``_walked``, a cached property and not a
+    field, so equality, hashing, repr, JSON and ``dataclasses.replace``
+    ignore it; a walked tableau keeps its order of m+n labels alive as long
+    as it lives.
     """
 
     k: int
     n: int
     sign: int
     columns: tuple[tuple[int, ...], ...]
-    _steps: str | None = field(default=None, init=False, repr=False, compare=False)
-    _walked: tuple[str, tuple[int, ...]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def m(self) -> int:
@@ -99,21 +91,17 @@ class FussTableau:
         return tuple(c[0] for c in self.columns)
 
     def completed_columns(self) -> tuple[tuple[int, ...], ...]:
-        """Columns with the sign -1 virtual labels appended (no-op for +1)."""
+        """Columns with the sign -1 virtual labels appended (no-op for +1).
+
+        Columns finish in the order they start, so the virtual labels m+n,
+        m+n+1 end the last column, or each of the last two columns.
+        """
+        cols, size = self.columns, self.size
         if self.sign > 0:
-            return self.columns
-        cols = [list(c) for c in self.columns]
-        # Continue the filling: each virtual W goes below the smallest
-        # incomplete foot, which is the least recently extended column.
-        label = self.size
-        while True:
-            short = [c for c in cols if len(c) < self.k + 1]
-            if not short:
-                break
-            target = min(short, key=lambda c: c[-1])
-            target.append(label)
-            label += 1
-        return tuple(tuple(c) for c in cols)
+            return cols
+        if len(cols[-1]) < self.k:
+            return cols[:-1] + (cols[-1] + (size, size + 1),)
+        return cols[:-2] + (cols[-2] + (size,), cols[-1] + (size + 1,))
 
     def bottom_row(self) -> tuple[int, ...]:
         """Feet of the completed columns (row k+1)."""
@@ -127,8 +115,7 @@ class FussTableau:
         tableaux: reading S at the first-row labels and W elsewhere must
         give a valid path word whose column filling is this tableau again.
         One sort of the labels plus linear passes; raises ValueError on
-        violation.  The round trip never reads the hidden fields; on success
-        it stores the word it refilled from.
+        violation.  The round trip never reads the cached walk.
         """
         k, n, sign = self.k, self.n, self.sign
         if sign not in (+1, -1) or k < 1 or n < 1:
@@ -144,7 +131,6 @@ class FussTableau:
             raise ValueError(f"tableau encodes no path: {exc}") from exc
         if refilled.columns != self.columns:
             raise ValueError("tableau is not the column filling of its first row")
-        object.__setattr__(self, "_steps", refilled._steps)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -178,6 +164,29 @@ class FussTableau:
         return "\n".join(
             " ".join(str(e).rjust(width) for e in row) for row in self.rows()
         )
+
+    @cached_property
+    def _walked(self) -> tuple[str, tuple[int, ...]]:
+        """``(letters, order)`` of the walk, from the completed columns alone.
+
+        ``up[below] = above`` for vertical neighbours; the tops are the first
+        row and the feet the bottom row.  The tableau is trusted as valid;
+        NotSingleCycle if a label repeats.
+        """
+        size, sign = self.size, self.sign
+        rows = list(zip(*self.completed_columns()))
+        up = [0] * (size - sign + 2)
+        for upper, lower in zip(rows, rows[1:]):
+            for above, below in zip(upper, lower):
+                up[below] = above
+        bold = _turns(up, rows[0], rows[-1], size, sign)
+        del rows  # freed before the walk fills ``order``
+        letters, order = _cycle(up, bold, size, sign)
+        # Each step is a function of the current label alone, and the walk
+        # is back at 1 after m+n steps, so a label repeats iff 1 comes back early.
+        if order.count(1) != 1:
+            raise NotSingleCycle("walk visits a label twice")
+        return letters, tuple(order)
 
 
 @dataclass(frozen=True)
@@ -249,9 +258,7 @@ def _tableau(frame: Frame, steps: str) -> FussTableau:
         # The virtual labels m+n, m+n+1 end the last one or two columns.
         size = frame.size
         columns[-2:] = [tuple(e for e in c if e < size) for c in columns[-2:]]
-    T = FussTableau(k=k, n=frame.n, sign=sign, columns=tuple(columns))
-    object.__setattr__(T, "_steps", steps)
-    return T
+    return FussTableau(k=k, n=frame.n, sign=sign, columns=tuple(columns))
 
 
 def fill_tableau(sw: SWWord) -> FussTableau:
@@ -264,12 +271,17 @@ def path_tableau(path: DyckPath) -> FussTableau:
     return _tableau(path.frame, path.steps)
 
 
+def _first_row_sw(frame: Frame, first_row) -> SWWord:
+    """S at the first-row labels, W elsewhere."""
+    letters = [W_STEP] * frame.size
+    for t in first_row:
+        letters[t - 1] = S_STEP
+    return SWWord(frame, "".join(letters))
+
+
 def tableau_to_sw(T: FussTableau) -> SWWord:
     """Inverse of fill_tableau: S at the first-row entries, W elsewhere."""
-    letters = [W_STEP] * T.size
-    for t in T.first_row():
-        letters[t - 1] = S_STEP
-    return SWWord(T.frame(), "".join(letters))
+    return _first_row_sw(T.frame(), T.first_row())
 
 
 def bold_set(T: FussTableau) -> frozenset[int]:
@@ -285,29 +297,31 @@ def en_from_tableau(T: FussTableau) -> ENWord:
     return ENWord(T.frame(), "".join(letters))
 
 
-def _walk(steps: str, k: int, sign: int) -> tuple[str, list[int]]:
-    """The closed walk of a valid Fuss path word's tableau; O(m+n).
+def _turns(up: list[int], tops, feet, size: int, sign: int) -> bytearray:
+    """Finish ``up`` for the walk in place and return the bold flags.
 
-    One ``_fill`` and one walk over flat arrays.  A row-1 label t spells N
-    and turns to its column's foot + sign, stored as ``up[t] = -(foot +
-    sign)``: row 1 has no label above, so a negative entry marks it.  Any
-    other label spells E, goes up one cell, then slides past bold labels
-    (foot + sign) against the sign.  For sign +1 the off-grid label m+n
-    goes up to m+n-1.  Returns ``(letters, order)``: the step word of the
-    sweep preimage and the labels in visiting order, starting at 1.
-    Raises NotSingleCycle unless the walk closes at label 1 after m+n steps.
+    A row-1 label t turns to its column's foot + sign, stored as ``up[t] =
+    -(foot + sign)``: row 1 has no label above, so a negative entry marks
+    it.  The labels foot + sign are bold.  For sign +1 the off-grid label
+    m+n goes up to m+n-1.
     """
-    size = len(steps)
-    up, depth, tops, feet = _fill(steps, k, sign)
     if sign > 0:
         up[size] = size - 1
     bold = bytearray(len(up))
     for t, b in zip(tops, feet):
         up[t] = -(b + sign)
         bold[b + sign] = 1
-    # Freed before the walk fills ``order``, so the peak stays that of the fill.
-    del depth, tops, feet
+    return bold
 
+
+def _cycle(up: list[int], bold: bytearray, size: int, sign: int) -> tuple[str, list[int]]:
+    """The closed walk over the arrays of ``_turns``; O(m+n).
+
+    A turn spells N.  Any other label spells E, goes up one cell, then
+    slides past bold labels against the sign.  Returns ``(letters, order)``:
+    the step word of the sweep preimage and the labels in visiting order,
+    starting at 1.  NotSingleCycle unless it closes at 1 after m+n steps.
+    """
     out = bytearray(b"E") * size
     order = [0] * size
     cur = 1
@@ -326,36 +340,13 @@ def _walk(steps: str, k: int, sign: int) -> tuple[str, list[int]]:
     return out.decode("ascii"), order
 
 
-def _tableau_walk(T: FussTableau) -> tuple[str, tuple[int, ...]]:
-    """``_walk`` over the tableau's own word, run and checked once per tableau.
-
-    NotSingleCycle if a label repeats.  A word ``T`` does not carry is
-    derived, and stored, first.  The result is stored in ``T._walked``, so
-    every later walk, rank labelling or reduced walk of ``T`` reads it.
-    """
-    walked = T._walked
-    if walked is None:
-        steps = T._steps
-        if steps is None:
-            steps = tableau_to_sw(T).as_path().steps
-            object.__setattr__(T, "_steps", steps)
-        letters, order = _walk(steps, T.k, T.sign)
-        # Each step is a function of the current label alone, and the walk
-        # is back at 1 after m+n steps, so a label repeats iff 1 comes back early.
-        if order.count(1) != 1:
-            raise NotSingleCycle("walk visits a label twice")
-        walked = letters, tuple(order)
-        object.__setattr__(T, "_walked", walked)
-    return walked
-
-
 def walk(T: FussTableau) -> WalkPermutation:
     """The single-cycle walk through the labels 1 .. m+n.
 
     ``T`` is trusted as valid, as every constructor and ``from_json`` give
     it; the reference walk over the columns is ``oracle._walk_order``.
     """
-    return WalkPermutation(order=_tableau_walk(T)[1])
+    return WalkPermutation(order=T._walked[1])
 
 
 def reduced_walk(T: FussTableau) -> tuple[int, ...]:
@@ -369,7 +360,7 @@ def reduced_walk(T: FussTableau) -> tuple[int, ...]:
     if T.n < 2:
         raise ValueError("reduced walk needs at least two columns")
     column1 = set(T.columns[0])
-    rest = [label for label in _tableau_walk(T)[1] if label not in column1]
+    rest = [label for label in T._walked[1] if label not in column1]
     at = rest.index(min(rest))
     return tuple(rest[at:] + rest[:at])
 
@@ -380,7 +371,7 @@ def tableau_rank_labels(T: FussTableau) -> dict[int, int]:
     Strictly increasing in the label, which is exactly the statement that
     sweeping the reconstructed preimage returns the original path.
     """
-    letters, order = _tableau_walk(T)
+    letters, order = T._walked
     steps = map({"N": T.m, "E": -T.n}.__getitem__, letters)
     return dict(zip(order, accumulate(steps, initial=0)))
 
@@ -392,21 +383,10 @@ def invert_fuss(path: DyckPath) -> DyckPath:
     a DyckPath, which checks the walk's output in one more pass.
     """
     k, sign = _fuss_params(path.frame)
-    return DyckPath(path.frame, _walk(path.steps, k, sign)[0])
-
-
-def _first_row_word(k: int, n: int, t: tuple[int, ...]) -> SWWord:
-    m = k * n + 1
-    for j, tj in enumerate(t, start=1):
-        upper = 1 + (j - 1) * (k + 1)
-        if tj > upper or (j == 1 and tj != 1):
-            raise RowConstraintViolated(j)
-        if j > 1 and tj <= t[j - 2]:
-            raise RowConstraintViolated(j)
-    letters = [W_STEP] * (m + n)
-    for tj in t:
-        letters[tj - 1] = S_STEP
-    return SWWord(make_frame(m, n), "".join(letters))
+    up, depth, tops, feet = _fill(path.steps, k, sign)
+    bold = _turns(up, tops, feet, path.frame.size, sign)
+    del depth, tops, feet  # freed before the walk fills ``order``: the peak stays the fill's
+    return DyckPath(path.frame, _cycle(up, bold, path.frame.size, sign)[0])
 
 
 def tableau_from_first_row(k: int, n: int, t) -> FussTableau:
@@ -414,7 +394,13 @@ def tableau_from_first_row(k: int, n: int, t) -> FussTableau:
     t = tuple(int(x) for x in t)
     if len(t) != n:
         raise ValueError(f"expected {n} first-row entries, got {len(t)}")
-    return fill_tableau(_first_row_word(k, n, t))
+    for j, tj in enumerate(t, start=1):
+        upper = 1 + (j - 1) * (k + 1)
+        if tj > upper or (j == 1 and tj != 1):
+            raise RowConstraintViolated(j)
+        if j > 1 and tj <= t[j - 2]:
+            raise RowConstraintViolated(j)
+    return fill_tableau(_first_row_sw(make_frame(k * n + 1, n), t))
 
 
 def tableau_from_bottom_row(k: int, n: int, b) -> FussTableau:

@@ -5,7 +5,7 @@ Everything here goes through plain enumeration or a direct count and never
 calls the fast operations it exists to validate: no walk kernel, no linear
 inversion, no rank-sort dinv.  ``_fill_columns`` is the per-column list
 filling that the label-indexed ``fuss._fill`` replaced, ``_walk_order`` the
-walk over arbitrary columns that ``fuss._walk`` replaced, and
+walk over arbitrary columns that ``fuss._cycle`` replaced, and
 ``oracle_bipartite_invert`` the position-list walk that
 ``sweep.bipartite_invert`` replaced; all are kept as references.
 ``oracle_invert_sweep`` is the package's only brute-force sweep inversion.

@@ -109,7 +109,7 @@ def bipartite_invert(sw: SWWord, en: ENWord) -> tuple[DyckPath, RankSequence]:
     positions spells the preimage's step word and the per-position ranks
     recover its rank sequence.  One C-level merge builds the successor of
     every position, ``~p`` for the N position p of an S and the E position
-    p of a W (the signed encoding of ``fuss._walk``); one loop walks it.
+    p of a W (the signed encoding of ``fuss._turns``); one loop walks it.
     The reference walk is ``oracle.oracle_bipartite_invert``.
     """
     if sw.frame != en.frame:

@@ -1,4 +1,10 @@
+import json
 import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from sweepkit import make_frame, path_count
 from sweepkit.bench import random_path, rows_to_csv, time_inversions
@@ -35,3 +41,17 @@ def test_time_inversions_rows():
 def test_csv_format():
     rows = [{"k": 2, "n": 10, "m": 21, "steps": 31, "mean_ns": 5, "reps": 3}]
     assert rows_to_csv(rows) == "k,n,m,steps,mean_ns,reps\n2,10,21,31,5,3"
+
+
+@pytest.mark.parametrize("sign", ["1", "-1"])
+def test_tableau_layers_script_runs(sign):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "tableau_layers.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "--n", "50", "--reps", "1", "--sign", sign],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [row["layer"] for row in rows] == [
+        "invert_fuss", "path_tableau", "walk", "tableau_rank_labels", "validate", "from_json"
+    ]
+    assert all(row["sign"] == int(sign) and row["n"] == 50 for row in rows)

@@ -249,11 +249,14 @@ class TestVerify:
     def test_runs_green(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-steps", "9")
         assert code == 0
-        assert out.count("ok") == 3
+        assert out.count("ok") == 4
         # Both Fuss suites cover every path of every Fuss frame, both signs.
         fuss_paths = sum(path_count(f) for f in fuss_frames(9))
         assert f"linear inversion vs enumeration: {fuss_paths} paths ok" in out
         assert f"tableau invariants and walk vs column walk: {fuss_paths} paths ok" in out
+        # The Catalan routes run on every sign +1 Fuss frame.
+        catalan_frames = len(fuss_frames(9, sign=+1))
+        assert f"q,t-Catalan routes and path counts: {catalan_frames} frames ok" in out
 
 
 FUZZ_COMMANDS = [

@@ -6,6 +6,7 @@ import pytest
 import sweepkit.fuss
 
 from sweepkit import (
+    DyckPath,
     FussTableau,
     NotFuss,
     RowConstraintViolated,
@@ -20,6 +21,7 @@ from sweepkit import (
     make_frame,
     parse_path,
     path_tableau,
+    psi,
     ranks,
     red,
     reduced_walk,
@@ -53,6 +55,14 @@ def k3n4_tableau() -> FussTableau:
 
 def k4n3_tableau() -> FussTableau:
     return fill_tableau(SWWord(make_frame(13, 3), K4N3_SW))
+
+
+def reference_columns(path: DyckPath) -> tuple[tuple[int, ...], ...]:
+    """Completed columns of the path's tableau, from the per-column oracle
+    fill; sign -1 continues the word with two virtual W's (m+n, m+n+1)."""
+    fuss = path.frame.fuss
+    letters = steps_to_sw(path.steps) + "WW" * (fuss.sign < 0)
+    return tuple(map(tuple, _fill_columns(letters, fuss.k)))
 
 
 class TestFill:
@@ -181,18 +191,16 @@ class TestWalk:
     def test_matches_reference_column_walk_both_signs(self):
         for frame in fuss_frames(14):
             for path in frame_paths(frame.m, frame.n):
-                T = path_tableau(path)
-                expected = tuple(_walk_order(T.completed_columns(), T.sign))
-                assert walk(T).order == expected, (frame, path.steps)
+                expected = tuple(_walk_order(reference_columns(path), frame.fuss.sign))
+                assert walk(path_tableau(path)).order == expected, (frame, path.steps)
 
     def test_reduced_matches_reference_column_walk(self):
         for frame in fuss_frames(14, sign=+1):
             if frame.n < 2:
                 continue
             for path in frame_paths(frame.m, frame.n):
-                T = path_tableau(path)
-                expected = tuple(_walk_order(T.columns[1:], +1))
-                assert reduced_walk(T) == expected, (frame, path.steps)
+                expected = tuple(_walk_order(reference_columns(path)[1:], +1))
+                assert reduced_walk(path_tableau(path)) == expected, (frame, path.steps)
 
 
 class TestRankLabels:
@@ -427,6 +435,12 @@ class TestMinusSignShape:
         assert T.columns == ((1, 3, 5), (2, 4, 7), (6,))
         assert T.completed_columns() == ((1, 3, 5), (2, 4, 7), (6, 8, 9))
 
+    def test_completed_columns_match_the_reference(self):
+        for frame in fuss_frames(14, sign=-1):
+            for path in frame_paths(frame.m, frame.n):
+                T = path_tableau(path)
+                assert T.completed_columns() == reference_columns(path), (frame, path.steps)
+
     def test_minus_walk(self):
         path = parse_path(make_frame(2, 3), "NNENE")
         assert walk(path_tableau(path)).order == (1, 2, 4, 5, 3)
@@ -448,43 +462,46 @@ def built_five_ways(path):
     return built
 
 
+def reference_answers(path):
+    """Walk order, rank labels and EN word of the path's tableau, read off the
+    oracle's column walk: its letters spell the preimage."""
+    columns = reference_columns(path)
+    order = tuple(_walk_order(columns, path.frame.fuss.sign))
+    tops = {c[0] for c in columns}
+    preimage = DyckPath(path.frame, "".join("N" if t in tops else "E" for t in order))
+    return order, dict(zip(order, ranks(preimage))), en_word(preimage)
+
+
 class TestCarriedWordAndWalk:
     def test_every_construction_gives_the_same_answers(self):
         for frame in fuss_frames(14):
             for path in frame_paths(frame.m, frame.n):
                 built = built_five_ways(path)
                 assert len(built) == (5 if frame.fuss.sign > 0 else 4)
-                T = built[0]
-                expected = tuple(_walk_order(T.completed_columns(), T.sign))
-                labels = tableau_rank_labels(T)
-                en = en_from_tableau(T)
+                order, labels, en = reference_answers(path)
+                reduced = None
+                if frame.fuss.sign > 0 and frame.n >= 2:
+                    reduced = tuple(_walk_order(reference_columns(path)[1:], +1))
                 for U in built:
-                    assert walk(U).order == expected, (frame, path.steps)
+                    assert walk(U).order == order, (frame, path.steps)
                     assert tableau_rank_labels(U) == labels
                     assert en_from_tableau(U) == en
-                    assert U._steps == path.steps
+                    if reduced is not None:
+                        assert reduced_walk(U) == reduced
 
     def test_hidden_fields_stay_out_of_value_semantics(self):
+        fields = [f.name for f in dataclasses.fields(FussTableau)]
+        assert fields == ["k", "n", "sign", "columns"]
         for frame in fuss_frames(14):
             for path in frame_paths(frame.m, frame.n):
                 fresh, *others = built_five_ways(path)
                 for U in others:
                     walk(U)
+                    assert "_walked" in vars(U)
                     assert U == fresh and hash(U) == hash(fresh)
                     assert repr(U) == repr(fresh)
                     assert U.to_json() == fresh.to_json()
-                assert "_steps" not in repr(fresh) and "_walked" not in repr(fresh)
-
-    def test_which_constructors_carry_the_word(self):
-        path = SWWord(make_frame(13, 4), K3N4_SW).as_path()
-        fill_word = sw_word(invert_fuss(path))
-        T = path_tableau(path)
-        assert T._steps == path.steps and T._walked is None
-        assert fill_tableau(fill_word)._steps == path.steps
-        assert FussTableau.from_json(T.to_json())._steps == path.steps
-        assert FussTableau(k=3, n=4, sign=1, columns=T.columns)._steps is None
-        assert red(T)._steps is None
-        assert dataclasses.replace(T)._steps is None
+                assert "_walked" not in repr(fresh)
 
     def test_replace_does_not_inherit_a_stale_word(self):
         for frame in fuss_frames(14):
@@ -493,43 +510,49 @@ class TestCarriedWordAndWalk:
                 T = path_tableau(a)
                 walk(T)
                 U = dataclasses.replace(T, columns=path_tableau(b).columns)
-                assert U._steps is None and U._walked is None
+                assert "_walked" not in vars(U)
                 fresh = path_tableau(b)
                 assert walk(U).order == walk(fresh).order
                 assert tableau_rank_labels(U) == tableau_rank_labels(fresh)
-                assert U._steps == b.steps
 
     def test_one_walk_and_no_reparse_per_filled_tableau(self, monkeypatch):
-        calls = {"walk": 0, "to_sw": 0}
-        real_walk, real_to_sw = sweepkit.fuss._walk, sweepkit.fuss.tableau_to_sw
-
-        def counted_walk(*args):
-            calls["walk"] += 1
-            return real_walk(*args)
-
-        def counted_to_sw(T):
-            calls["to_sw"] += 1
-            return real_to_sw(T)
-
-        monkeypatch.setattr(sweepkit.fuss, "_walk", counted_walk)
-        monkeypatch.setattr(sweepkit.fuss, "tableau_to_sw", counted_to_sw)
         T = k3n4_tableau()
-        order = walk(T).order
-        assert walk(T).order is order
-        tableau_rank_labels(T)
-        reduced_walk(T)
-        assert calls == {"walk": 1, "to_sw": 0}
-        # A tableau built from its columns derives its word once.
-        U = FussTableau(k=3, n=4, sign=1, columns=T.columns)
-        walk(U)
-        tableau_rank_labels(U)
-        assert calls == {"walk": 2, "to_sw": 1}
+        plus = [
+            T,
+            fill_tableau(tableau_to_sw(T)),
+            path_tableau(tableau_to_sw(T).as_path()),
+            FussTableau.from_json(T.to_json()),
+            FussTableau(k=3, n=4, sign=1, columns=T.columns),
+            red(fiber_by_bottom_rows(T)[0]),
+            psi(T),
+        ]
+        M = path_tableau(SWWord(make_frame(5, 3), "SSWWWSWW").as_path())
+        minus = [M, FussTableau(k=2, n=3, sign=-1, columns=M.columns)]
+        calls = dict.fromkeys(["_cycle", "_fill", "tableau_to_sw"], 0)
+
+        def counted(name):
+            real = getattr(sweepkit.fuss, name)
+
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(sweepkit.fuss, name, counted(name))
+        for U in plus + minus:
+            order = walk(U).order
+            assert walk(U).order is order
+            tableau_rank_labels(U)
+            if U.sign > 0:
+                reduced_walk(U)
+        assert calls == {"_cycle": len(plus) + len(minus), "_fill": 0, "tableau_to_sw": 0}
 
     def test_validate_does_not_trust_the_carried_word(self):
         good = path_tableau(parse_path(make_frame(5, 2), "NENEEEE"))
         bad = FussTableau(k=2, n=2, sign=1, columns=((1, 2, 5), (3, 4, 6)))
         # Same first row, so the same word, but 5 and 4 swapped.
         assert good.first_row() == bad.first_row() and good != bad
-        object.__setattr__(bad, "_steps", good._steps)
         with pytest.raises(ValueError, match="not the column filling"):
             bad.validate()
