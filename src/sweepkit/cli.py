@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -20,16 +19,15 @@ from .core import (
     area,
     coarea,
     dinv,
-    enumerate_paths,
     make_frame,
     parse_path,
     rank_sequence,
     ranks,
 )
 from .errors import SweepkitError
-from .fuss import FussTableau, invert_fuss, path_tableau, walk
-from .oracle import _fill_columns, _walk_order, oracle_dinv, oracle_invert_sweep
-from .qtcatalan import catalan_qt, catalan_qt_via_bounce, catalan_step, path_count
+from .fuss import FussTableau, invert_fuss, path_tableau
+from .oracle import oracle_invert_sweep
+from .qtcatalan import CATALAN_ROUTES, path_count
 from .reduction import fiber_by_cutting, red
 from .render import render_svg
 from .sweep import (
@@ -140,10 +138,6 @@ def cmd_fiber(args) -> int:
     return 0
 
 
-CATALAN_ROUTES = {"dinv-area": catalan_qt, "area-bounce": catalan_qt_via_bounce,
-                  "step": catalan_step}
-
-
 def cmd_catalan(args) -> int:
     poly = CATALAN_ROUTES[args.via](args.k, args.n)
     print(poly.to_json())
@@ -183,74 +177,26 @@ def cmd_bench(args) -> int:
 
 def cmd_verify(args) -> int:
     """Exhaustive property suites over every coprime frame up to --max-steps."""
-    bound = args.max_steps
-    frames = [
-        make_frame(m, size - m)
-        for size in range(2, bound + 1)
-        for m in range(1, size)
-        if math.gcd(m, size - m) == 1
-    ]
-    total_failures = 0
+    # Imported here so that no other command pays for compiling the suites.
+    from . import suites
 
-    failures = 0
-    checked = 0
-    for frame in frames:
-        paths = list(enumerate_paths(frame))
-        if len(paths) != path_count(frame):
-            failures += 1
-        images = set()
-        for D in paths:
-            image = sweep(D)
-            images.add(image.steps)
-            cells = oracle_dinv(D)
-            if dinv(D) != cells or area(image) != cells:
-                failures += 1
-        if len(images) != len(paths):
-            failures += 1
-        checked += len(paths)
-    print(f"sweep bijection and dinv->area transport: {checked} paths "
-          f"over {len(frames)} frames {'ok' if not failures else 'FAILED'}")
-    total_failures += failures
-
-    inversion_failures = walk_failures = fuss_checked = 0
-    for frame in frames:
-        if frame.fuss is None:
-            continue
-        for D in enumerate_paths(frame):
-            fuss_checked += 1
-            if invert_fuss(D) != oracle_invert_sweep(D):
-                inversion_failures += 1
-            T = path_tableau(D)
-            # The reference fill, with sign -1 continued by two virtual W's.
-            columns = _fill_columns(steps_to_sw(D.steps) + "WW" * (T.sign < 0), T.k)
-            try:
-                T.validate()
-                if walk(T).order != tuple(_walk_order(columns, T.sign)):
-                    walk_failures += 1
-            except Exception:
-                walk_failures += 1
-    print(f"linear inversion vs enumeration: {fuss_checked} paths "
-          f"{'ok' if not inversion_failures else 'FAILED'}")
-    print(f"tableau invariants and walk vs column walk: {fuss_checked} paths "
-          f"{'ok' if not walk_failures else 'FAILED'}")
-    total_failures += inversion_failures + walk_failures
-
-    catalan_failures = 0
-    catalan_frames = [f for f in frames if f.fuss is not None and f.fuss.sign > 0]
-    for frame in catalan_frames:
-        k, n = frame.fuss.k, frame.n
-        # The step route builds the frame from the one a column narrower.
-        polys = [route(k, n) for via, route in CATALAN_ROUTES.items() if n >= 2 or via != "step"]
-        if any(p != polys[0] for p in polys) or polys[0].evaluate(1, 1) != path_count(frame):
-            catalan_failures += 1
-    print(f"q,t-Catalan routes and path counts: {len(catalan_frames)} frames "
-          f"{'ok' if not catalan_failures else 'FAILED'}")
-    total_failures += catalan_failures
-
-    if total_failures:
-        print(f"{total_failures} failures", file=sys.stderr)
-        return 2
-    return 0
+    frames = suites.coprime_frames(args.max_steps)
+    failed = False
+    for label, suite, unit in (
+        ("sweep bijection and dinv->area transport", suites.sweep_transport,
+         f"paths over {len(frames)} frames"),
+        ("linear inversion vs enumeration", suites.fuss_inversion, "paths"),
+        ("tableau invariants and walk vs column walk", suites.tableau_walk, "paths"),
+        ("q,t-Catalan routes and path counts", suites.catalan_routes, "frames"),
+    ):
+        checked, counterexample = suite(frames)
+        if counterexample is None:
+            print(f"{label}: {checked} {unit} ok")
+        else:
+            print(f"{label}: FAILED")
+            print(f"  counterexample: {counterexample}")
+            failed = True
+    return 2 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

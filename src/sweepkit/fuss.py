@@ -72,6 +72,19 @@ class FussTableau:
     sign: int
     columns: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self) -> None:
+        """ValueError unless a path fills this shape: n columns of height k+1,
+        except for sign -1 a last column k-1 high or two last columns k high."""
+        k, n, sign = self.k, self.n, self.sign
+        if sign not in (+1, -1) or k < 1 or n < 1:
+            raise ValueError("bad tableau parameters")
+        full = [k + 1] * n
+        shapes = [full] if sign > 0 else [full[1:] + [k - 1], full[2:] + [k, k]]
+        heights = list(map(len, self.columns))
+        if heights not in shapes or not heights[-1]:  # for k = 1, k - 1 = 0 is no column
+            raise ValueError(f"columns do not have the shape of a k = {k}, n = {n}, "
+                             f"sign {sign:+d} tableau")
+
     @property
     def m(self) -> int:
         return self.k * self.n + self.sign
@@ -110,20 +123,14 @@ class FussTableau:
     def validate(self) -> None:
         """Check that the tableau is the column filling of some path.
 
-        Parameters, column count and the label set are checked directly.
+        The shape is checked at construction and the label set directly.
         The rest is a round trip through the bijection of paths onto
         tableaux: reading S at the first-row labels and W elsewhere must
         give a valid path word whose column filling is this tableau again.
         One sort of the labels plus linear passes; raises ValueError on
         violation.  The round trip never reads the cached walk.
         """
-        k, n, sign = self.k, self.n, self.sign
-        if sign not in (+1, -1) or k < 1 or n < 1:
-            raise ValueError("bad tableau parameters")
-        if len(self.columns) != n or not all(self.columns):
-            raise ValueError(f"expected {n} non-empty columns, got {len(self.columns)}")
-        entries = [e for c in self.columns for e in c]
-        if len(entries) != self.size - 1 or sorted(entries) != list(range(1, self.size)):
+        if sorted(chain.from_iterable(self.columns)) != list(range(1, self.size)):
             raise ValueError("entries must be exactly 1 .. m+n-1")
         try:
             refilled = fill_tableau(tableau_to_sw(self))

@@ -43,14 +43,6 @@ class QTPolynomial:
             out[key] = out.get(key, 0) + c
         return QTPolynomial(out)
 
-    def __mul__(self, other: "QTPolynomial") -> "QTPolynomial":
-        out: dict[tuple[int, int], int] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                key = (a1 + a2, b1 + b2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return QTPolynomial(out)
-
     def evaluate(self, q: int, t: int) -> int:
         return sum(c * q**a * t**b for (a, b), c in self.terms.items())
 
@@ -148,3 +140,8 @@ def catalan_step(k: int, n: int) -> QTPolynomial:
                 key = (d + i - 1, a + n_ * k - r)
                 terms[key] = terms.get(key, 0) + 1
     return QTPolynomial(terms)
+
+
+# The three routes to C_n^(k)(q, t), by the name ``sweepkit catalan --via`` takes.
+CATALAN_ROUTES = {"dinv-area": catalan_qt, "area-bounce": catalan_qt_via_bounce,
+                  "step": catalan_step}

@@ -15,7 +15,7 @@ from bisect import bisect_left
 from .core import DyckPath, _lowest_rank_rotation, make_frame, parse_path, ranks
 from .errors import NotFuss, RankNotPresent, RankTooLarge, TooNarrow
 # psi lives in fuss and stays importable from here.
-from .fuss import FussTableau, invert_fuss, psi, tableau_from_bottom_row, tableau_to_sw
+from .fuss import FussTableau, invert_fuss, psi, tableau_from_bottom_row
 from .sweep import sweep
 
 
@@ -92,8 +92,8 @@ def fiber_by_cutting(T_reduced: FussTableau) -> list[DyckPath]:
     fiber_count(T_reduced) members.
     """
     _require_plus(T_reduced, "fiber_by_cutting")
-    reduced_path = tableau_to_sw(T_reduced).as_path()
-    preimage = invert_fuss(reduced_path)
+    # The reduced tableau's walk spells its preimage.
+    preimage = DyckPath(T_reduced.frame(), T_reduced._walked[0])
     m = preimage.frame.m
     # One rank pass: the cuts are the vertices of rank < m, by rank.
     cuts = sorted((r, i) for i, r in enumerate(ranks(preimage)) if r < m)

@@ -1,0 +1,142 @@
+"""Exhaustive property suites behind ``sweepkit verify`` and the acceptance gate.
+
+Each suite checks the fast code against ``oracle`` on every path of the
+frames it is given (on every sign +1 Fuss frame, for the Catalan routes)
+and returns ``(checked, counterexample)``: how many inputs it checked, and
+the first one on which the fast code disagrees or raises, or None.
+``oracle`` never imports this module, so the references stay independent
+of the suites that use them.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from .core import DyckPath, Frame, area, dinv, enumerate_paths, make_frame
+from .fuss import fill_tableau, invert_fuss, tableau_to_sw, walk
+from .oracle import _fill_columns, _walk_order, oracle_dinv, oracle_invert_sweep
+from .qtcatalan import CATALAN_ROUTES, path_count
+from .sweep import SWWord, steps_to_sw, sweep
+
+
+def coprime_frames(max_steps: int) -> list[Frame]:
+    """Every coprime frame with 2 <= m+n <= max_steps, by size, then by m."""
+    return [
+        make_frame(m, size - m)
+        for size in range(2, max_steps + 1)
+        for m in range(1, size)
+        if math.gcd(m, size - m) == 1
+    ]
+
+
+def reference_columns(path: DyckPath) -> tuple[tuple[int, ...], ...]:
+    """Completed columns of the path's tableau, from the per-column oracle
+    fill; sign -1 continues the word with two virtual W's (m+n, m+n+1)."""
+    fuss = path.frame.fuss
+    letters = steps_to_sw(path.steps) + "WW" * (fuss.sign < 0)
+    return tuple(map(tuple, _fill_columns(letters, fuss.k)))
+
+
+@dataclass(frozen=True)
+class Counterexample:
+    """An input on which the fast code disagrees with a reference, or raises."""
+
+    suite: str
+    frame: Frame
+    word: str
+    expected: object
+    got: object
+
+    def __str__(self) -> str:
+        where = f"({self.frame.m}, {self.frame.n}) {self.word}".rstrip()
+        return f"{self.suite} on {where}: expected {self.expected!r}, got {self.got!r}"
+
+
+def _first(suite: str, cases) -> tuple[int, Counterexample | None]:
+    """Run ``(frame, word, expected, fast, *args)`` cases up to the first
+    where ``fast(*args)`` differs from ``expected``; an exception is what it got."""
+    checked = 0
+    for frame, word, expected, fast, *args in cases:
+        checked += 1
+        try:
+            got = fast(*args)
+            if got == expected:
+                continue
+        except Exception as exc:  # the input that makes fast code raise is the finding
+            got = exc
+        return checked, Counterexample(suite, frame, word, expected, got)
+    return checked, None
+
+
+def _fuss_paths(frames):
+    return ((f, D) for f in frames if f.fuss is not None for D in enumerate_paths(f))
+
+
+def _transport(D: DyckPath, preimages: dict[str, str]) -> dict:
+    image = sweep(D)
+    return {"path count": path_count(D.frame), "dinv": dinv(D), "area(sweep)": area(image),
+            "sweep preimage": preimages.setdefault(image.steps, D.steps)}
+
+
+def _transport_cases(frames):
+    preimages: dict[str, str] = {}  # one for every frame: a word fixes its frame
+    for frame in frames:
+        paths = list(enumerate_paths(frame))
+        for D in paths:
+            cells = oracle_dinv(D)
+            expected = {"path count": len(paths), "dinv": cells, "area(sweep)": cells,
+                        "sweep preimage": D.steps}
+            yield frame, D.steps, expected, _transport, D, preimages
+
+
+def sweep_transport(frames) -> tuple[int, Counterexample | None]:
+    """Path count, sweep injective, and dinv = cell-rule dinv = area of the image."""
+    return _first("sweep transport", _transport_cases(frames))
+
+
+def _inversion(D: DyckPath) -> dict:
+    preimage = invert_fuss(D)
+    return {"invert_fuss": preimage.steps, "sweep(invert_fuss)": sweep(preimage).steps}
+
+
+def fuss_inversion(frames) -> tuple[int, Counterexample | None]:
+    """The linear inversion equals the brute search and is a sweep preimage."""
+    return _first("Fuss inversion", (
+        (frame, D.steps, {"invert_fuss": oracle_invert_sweep(D).steps,
+                          "sweep(invert_fuss)": D.steps}, _inversion, D)
+        for frame, D in _fuss_paths(frames)))
+
+
+def _tableau(D: DyckPath, fillers: dict) -> dict:
+    T = fill_tableau(SWWord(D.frame, steps_to_sw(D.steps)))
+    T.validate()
+    return {"tableau_to_sw": tableau_to_sw(T).letters, "walk": walk(T).order,
+            "filled from": fillers.setdefault(T.columns, D.steps)}
+
+
+def tableau_walk(frames) -> tuple[int, Counterexample | None]:
+    """Column filling is injective into valid tableaux, ``tableau_to_sw`` undoes
+    it, and the walk equals the oracle's column walk over the oracle's fill."""
+    fillers: dict = {}  # one for every frame: the columns fix the frame
+    return _first("tableau and walk", (
+        (frame, D.steps, {"tableau_to_sw": steps_to_sw(D.steps),
+                          "walk": tuple(_walk_order(reference_columns(D), frame.fuss.sign)),
+                          "filled from": D.steps}, _tableau, D, fillers)
+        for frame, D in _fuss_paths(frames)))
+
+
+def _routes(k: int, n: int):
+    """The routes' common value at q = t = 1, or each route's polynomial if they differ."""
+    # The step route builds the frame from the one a column narrower.
+    polys = {via: route(k, n) for via, route in CATALAN_ROUTES.items() if n >= 2 or via != "step"}
+    if any(p != polys["dinv-area"] for p in polys.values()):
+        return {via: p.pretty() for via, p in polys.items()}
+    return polys["dinv-area"].evaluate(1, 1)
+
+
+def catalan_routes(frames) -> tuple[int, Counterexample | None]:
+    """On every sign +1 Fuss frame the three routes agree and count its paths."""
+    return _first("Catalan routes", (
+        (frame, "", path_count(frame), _routes, frame.fuss.k, frame.n)
+        for frame in frames if frame.fuss is not None and frame.fuss.sign > 0))

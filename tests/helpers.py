@@ -1,18 +1,9 @@
 """Shared fixtures: frame lists, cached enumerations, golden constants."""
 
-import math
 from functools import lru_cache
 
 from sweepkit import DyckPath, enumerate_paths, make_frame
-
-
-def coprime_frames(max_steps, min_steps=2):
-    return [
-        make_frame(m, size - m)
-        for size in range(min_steps, max_steps + 1)
-        for m in range(1, size)
-        if math.gcd(m, size - m) == 1
-    ]
+from sweepkit.suites import coprime_frames
 
 
 def fuss_frames(max_steps, sign=None):

@@ -12,8 +12,6 @@ from sweepkit import (
     area_from_bottom_row,
     bipartite_invert,
     catalan_qt,
-    catalan_qt_via_bounce,
-    catalan_step,
     coarea,
     coarea_from_top_row,
     cobounce,
@@ -43,10 +41,9 @@ from sweepkit import (
 from sweepkit.bench import time_inversions
 from sweepkit.oracle import (
     enumerate_tableaux,
-    oracle_dinv,
     oracle_fiber,
-    oracle_invert_sweep,
 )
+from sweepkit.suites import catalan_routes, fuss_inversion, sweep_transport, tableau_walk
 from helpers import (
     FIG_EN,
     FIG_RANK_SEQUENCE,
@@ -103,46 +100,34 @@ def test_criterion_01_golden_worked_example():
 def test_criterion_02_sweep_bijection_and_transport():
     with criterion(2, "sweep bijective, area(sweep) = dinv = cell-rule dinv, m+n <= 14"):
         started = time.perf_counter()
-        for frame in coprime_frames(14):
-            paths = frame_paths(frame.m, frame.n)
-            images = set()
-            for path in paths:
-                image = sweep(path)
-                assert area(image) == dinv(path)
-                assert dinv(path) == oracle_dinv(path)
-                images.add(image.steps)
-            assert len(images) == len(paths)
+        frames = coprime_frames(14)
+        checked, counterexample = sweep_transport(frames)
+        assert counterexample is None, str(counterexample)
+        assert checked == sum(path_count(frame) for frame in frames)
         assert time.perf_counter() - started < 60
 
 
 def test_criterion_03_fuss_inversion():
     with criterion(3, "invert_fuss matches enumeration, both signs, m+n <= 18"):
         started = time.perf_counter()
-        checked = 0
-        for frame in fuss_frames(18):
-            for path in frame_paths(frame.m, frame.n):
-                preimage = invert_fuss(path)
-                assert preimage == oracle_invert_sweep(path)
-                assert sweep(preimage) == path
-                checked += 1
+        checked, counterexample = fuss_inversion(fuss_frames(18))
+        assert counterexample is None, str(counterexample)
         assert checked > 0
         assert time.perf_counter() - started < 120
 
 
 def test_criterion_04_tableau_bijection():
     with criterion(4, "column filling bijects paths onto valid tableaux, m+n <= 18"):
-        for frame in fuss_frames(18, sign=+1):
+        frames = fuss_frames(18, sign=+1)
+        # Fill, validate, tableau_to_sw round trip and injectivity, per path.
+        checked, counterexample = tableau_walk(frames)
+        assert counterexample is None, str(counterexample)
+        assert checked == sum(path_count(frame) for frame in frames)
+        for frame in frames:
             k, n = frame.fuss.k, frame.n
             paths = frame_paths(frame.m, frame.n)
-            images = set()
-            for path in paths:
-                word = sw_word(path)
-                T = fill_tableau(word)
-                T.validate()
-                assert tableau_to_sw(T) == word
-                images.add(T.columns)
-            assert len(images) == len(paths)
             assert len(paths) == path_count(frame)
+            images = {path_tableau(path).columns for path in paths}
             universe = {T.columns for T in enumerate_tableaux(k, n)}
             assert images == universe
 
@@ -236,15 +221,15 @@ def test_criterion_09_catalan_identities():
     with criterion(9, "q,t-Catalan routes agree for k <= 3, n <= 5"):
         started = time.perf_counter()
         assert catalan_qt(1, 2).pretty() == "q + t"
-        for k in (1, 2, 3):
-            for n in (1, 2, 3, 4, 5):
-                if (k + 1) * n > 24:
-                    continue
-                direct = catalan_qt(k, n)
-                assert catalan_qt_via_bounce(k, n) == direct
-                if n >= 2:
-                    assert catalan_step(k, n) == direct
-                assert direct.evaluate(1, 1) == path_count(make_frame(k * n + 1, n))
+        frames = [
+            make_frame(k * n + 1, n)
+            for k in (1, 2, 3)
+            for n in (1, 2, 3, 4, 5)
+            if (k + 1) * n <= 24
+        ]
+        checked, counterexample = catalan_routes(frames)
+        assert counterexample is None, str(counterexample)
+        assert checked == len(frames)
         assert time.perf_counter() - started < 300
 
 

@@ -7,10 +7,11 @@ import xml.etree.ElementTree as ET
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sweepkit import en_word, make_frame, path_count, sw_to_steps, sw_word
+import sweepkit.suites
+from sweepkit import en_word, make_frame, path_count, sw_to_steps, sw_word, sweep
 from sweepkit.bench import random_path
 from sweepkit.cli import main
-from helpers import FIG_EN, FIG_RANK_SEQUENCE, FIG_SW, FIG_WORD, fuss_frames
+from helpers import FIG_EN, FIG_RANK_SEQUENCE, FIG_SW, FIG_WORD, frame_paths, fuss_frames
 
 
 def run(capsys, *argv):
@@ -257,6 +258,21 @@ class TestVerify:
         # The Catalan routes run on every sign +1 Fuss frame.
         catalan_frames = len(fuss_frames(9, sign=+1))
         assert f"q,t-Catalan routes and path counts: {catalan_frames} frames ok" in out
+
+    def test_planted_fault_names_its_counterexample(self, capsys, monkeypatch):
+        # An "inversion" that returns its input first fails on the first
+        # Fuss path that the sweep map moves.
+        monkeypatch.setattr(sweepkit.suites, "invert_fuss", lambda path: path)
+        frames = fuss_frames(6)
+        frame, D = next((f, D) for f in frames for D in frame_paths(f.m, f.n) if sweep(D) != D)
+        _, counterexample = sweepkit.suites.fuss_inversion(frames)
+        assert (counterexample.frame, counterexample.word) == (frame, D.steps)
+        assert counterexample.got == {"invert_fuss": D.steps, "sweep(invert_fuss)": sweep(D).steps}
+        code, out, _ = run(capsys, "verify", "--max-steps", "6")
+        assert code == 2
+        lines, failed = out.splitlines(), "linear inversion vs enumeration: FAILED"
+        assert [line for line in lines if "FAILED" in line] == [failed]
+        assert lines[lines.index(failed) + 1] == f"  counterexample: {counterexample}"
 
 
 FUZZ_COMMANDS = [

@@ -9,6 +9,7 @@ from sweepkit import (
     DyckPath,
     FussTableau,
     NotFuss,
+    NotSingleCycle,
     RowConstraintViolated,
     SWWord,
     bold_set,
@@ -34,7 +35,8 @@ from sweepkit import (
     tableau_to_sw,
     walk,
 )
-from sweepkit.oracle import _fill_columns, _walk_order, oracle_invert_sweep
+from sweepkit.oracle import _walk_order, oracle_invert_sweep
+from sweepkit.suites import fuss_inversion, reference_columns, tableau_walk
 from helpers import (
     K3N4_PREIMAGE_SW,
     K3N4_REDUCED_WALK,
@@ -55,14 +57,6 @@ def k3n4_tableau() -> FussTableau:
 
 def k4n3_tableau() -> FussTableau:
     return fill_tableau(SWWord(make_frame(13, 3), K4N3_SW))
-
-
-def reference_columns(path: DyckPath) -> tuple[tuple[int, ...], ...]:
-    """Completed columns of the path's tableau, from the per-column oracle
-    fill; sign -1 continues the word with two virtual W's (m+n, m+n+1)."""
-    fuss = path.frame.fuss
-    letters = steps_to_sw(path.steps) + "WW" * (fuss.sign < 0)
-    return tuple(map(tuple, _fill_columns(letters, fuss.k)))
 
 
 class TestFill:
@@ -91,13 +85,11 @@ class TestFill:
         # The label-indexed fill (rows by depth) against the per-column
         # list filling, for both entry points, every path, both signs.
         for frame in fuss_frames(14):
-            k = frame.fuss.k
             for path in frame_paths(frame.m, frame.n):
                 word = sw_word(path)
-                expected = tuple(map(tuple, _fill_columns(word.letters, k)))
-                assert fill_tableau(word).columns == expected
-                own = tuple(map(tuple, _fill_columns(steps_to_sw(path.steps), k)))
-                assert path_tableau(path).columns == own
+                expected = reference_columns(word.as_path())
+                assert fill_tableau(word).completed_columns() == expected
+                assert path_tableau(path).completed_columns() == reference_columns(path)
 
     def test_bijective_on_small_frames(self):
         for frame in fuss_frames(13, sign=+1):
@@ -189,10 +181,10 @@ class TestWalk:
                 assert spliced[at:] + spliced[:at] == reduced
 
     def test_matches_reference_column_walk_both_signs(self):
-        for frame in fuss_frames(14):
-            for path in frame_paths(frame.m, frame.n):
-                expected = tuple(_walk_order(reference_columns(path), frame.fuss.sign))
-                assert walk(path_tableau(path)).order == expected, (frame, path.steps)
+        frames = fuss_frames(14)
+        checked, counterexample = tableau_walk(frames)
+        assert counterexample is None, str(counterexample)
+        assert checked == sum(len(frame_paths(f.m, f.n)) for f in frames)
 
     def test_reduced_matches_reference_column_walk(self):
         for frame in fuss_frames(14, sign=+1):
@@ -238,11 +230,10 @@ class TestInvertFuss:
             invert_fuss(parse_path(make_frame(7, 5), "N" * 5 + "E" * 7))
 
     def test_matches_oracle_both_signs(self):
-        for frame in fuss_frames(14):
-            for path in frame_paths(frame.m, frame.n):
-                pre = invert_fuss(path)
-                assert pre == oracle_invert_sweep(path)
-                assert sweep(pre) == path
+        frames = fuss_frames(14)
+        checked, counterexample = fuss_inversion(frames)
+        assert counterexample is None, str(counterexample)
+        assert checked == sum(len(frame_paths(f.m, f.n)) for f in frames)
 
     def test_round_trips(self):
         for frame in fuss_frames(13):
@@ -376,6 +367,15 @@ class TestValidate:
     def test_rejects_bad_shape_or_labels(self, columns):
         with pytest.raises(ValueError):
             FussTableau(k=1, n=2, sign=1, columns=columns).validate()
+
+    def test_shape_checked_at_construction(self):
+        # The one column of a k = 2, n = 1, sign -1 tableau is k - 1 = 1 high, not 2.
+        with pytest.raises(ValueError, match="shape"):
+            FussTableau(k=2, n=1, sign=-1, columns=((1, 2),))
+        # A legal shape is built; that it encodes no path is validate's finding.
+        T = FussTableau(k=1, n=3, sign=-1, columns=((1, 2), (3,), (4,)))
+        with pytest.raises(NotSingleCycle):
+            walk(T)
 
 
 class TestTableauJson:

@@ -34,9 +34,12 @@ class TestPolynomialType:
             QTPolynomial({(0, 0): -1})
 
     def test_add_mul(self):
+        # Partial polynomials of a split frame are added; nothing multiplies them.
         q = QTPolynomial({(1, 0): 1})
         t = QTPolynomial({(0, 1): 1})
-        assert (q + t) * (q + t) == QTPolynomial({(2, 0): 1, (1, 1): 2, (0, 2): 1})
+        assert (q + t) + (q + q) == QTPolynomial({(1, 0): 3, (0, 1): 1})
+        with pytest.raises(TypeError):
+            q * t
 
     def test_json_sorted_by_total_degree_then_q(self):
         poly = catalan_qt(1, 3)
