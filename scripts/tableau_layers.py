@@ -4,9 +4,10 @@
     python3 scripts/tableau_layers.py --src OTHER_CHECKOUT/src ...
 
 Layers: invert_fuss, path_tableau, walk(T), tableau_rank_labels(T),
-T.validate() and FussTableau.from_json.  Every input is built outside the
-timer, and each timed call gets a tableau fresh from ``path_tableau``, so
-nothing an earlier call stored on it is reused.  A row reports the best of
+T.validate() and FussTableau.from_json, and for sign +1 also red(T) and
+fiber_by_cutting(red(T)).  Every input is built outside the timer, and each
+timed call gets a tableau fresh from ``path_tableau`` (or ``red`` of one),
+so nothing an earlier call stored on it is reused.  A row reports the best of
 ``--reps`` calls.  ``--src`` imports sweepkit from another checkout, so one
 script times two commits alike.
 """
@@ -45,6 +46,9 @@ def main() -> None:
         "validate": (lambda: sk.path_tableau(path), sk.FussTableau.validate),
         "from_json": (lambda: text, sk.FussTableau.from_json),
     }
+    if args.sign > 0:
+        layers["red"] = (lambda: sk.path_tableau(path), sk.red)
+        layers["fiber_by_cutting"] = (lambda: sk.red(sk.path_tableau(path)), sk.fiber_by_cutting)
     for layer, (make_input, call) in layers.items():
         best = float("inf")
         for _ in range(args.reps):

@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, chain, zip_longest
-from operator import is_not
+from operator import countOf, is_not
 
 from .core import DyckPath, Frame, make_frame
 from .errors import (
@@ -78,10 +78,18 @@ class FussTableau:
         k, n, sign = self.k, self.n, self.sign
         if sign not in (+1, -1) or k < 1 or n < 1:
             raise ValueError("bad tableau parameters")
-        full = [k + 1] * n
-        shapes = [full] if sign > 0 else [full[1:] + [k - 1], full[2:] + [k, k]]
-        heights = list(map(len, self.columns))
-        if heights not in shapes or not heights[-1]:  # for k = 1, k - 1 = 0 is no column
+        # The short columns end the shape; every column before them is full.
+        cols = self.columns
+        if sign > 0:
+            short = ()
+        elif cols and len(cols[-1]) == k - 1:
+            short = (k - 1,)
+        else:
+            short = (k, k)
+        width = max(n, len(short))
+        if (len(cols) != width or 0 in short  # for k = 1, k - 1 = 0 is no column
+                or tuple(map(len, cols[width - len(short):])) != short
+                or countOf(map(len, cols), k + 1) != width - len(short)):
             raise ValueError(f"columns do not have the shape of a k = {k}, n = {n}, "
                              f"sign {sign:+d} tableau")
 

@@ -5,9 +5,11 @@ Everything here goes through plain enumeration or a direct count and never
 calls the fast operations it exists to validate: no walk kernel, no linear
 inversion, no rank-sort dinv.  ``_fill_columns`` is the per-column list
 filling that the label-indexed ``fuss._fill`` replaced, ``_walk_order`` the
-walk over arbitrary columns that ``fuss._cycle`` replaced, and
+walk over arbitrary columns that ``fuss._cycle`` replaced,
 ``oracle_bipartite_invert`` the position-list walk that
-``sweep.bipartite_invert`` replaced; all are kept as references.
+``sweep.bipartite_invert`` replaced, and ``oracle_fiber_by_cutting`` the
+lift-and-sweep per cut that ``reduction.fiber_by_cutting`` replaced; all are
+kept as references.
 ``oracle_invert_sweep`` is the package's only brute-force sweep inversion.
 """
 
@@ -18,7 +20,7 @@ from collections import deque
 from functools import lru_cache
 from typing import Iterator
 
-from .core import EAST, NORTH, DyckPath, Frame, RankSequence, enumerate_paths, make_frame
+from .core import EAST, NORTH, DyckPath, Frame, RankSequence, enumerate_paths, make_frame, ranks
 from .errors import (
     FrameTooLarge,
     InconsistentPair,
@@ -238,6 +240,24 @@ def oracle_fiber(T_reduced: FussTableau) -> list[DyckPath]:
     frame = make_frame(k * n + 1, n)
     _refuse_large(frame)
     return [D for D in enumerate_paths(frame) if red(path_tableau(D)) == T_reduced]
+
+
+def oracle_fiber_by_cutting(T_reduced: FussTableau) -> list[DyckPath]:
+    """``reduction.fiber_by_cutting`` one member at a time: lift the reduced
+    preimage at each vertex of rank < m', by rank, and sweep the lifted path.
+
+    The preimage is spelled by ``_walk_order`` (N at the first-row labels),
+    not by the walk kernel.  The loop that the one rank sort of
+    ``fiber_by_cutting`` replaced, kept as its reference.
+    """
+    from .reduction import _require_plus, cut_and_lift
+
+    _require_plus(T_reduced, "oracle_fiber_by_cutting")
+    tops = set(T_reduced.first_row())
+    order = _walk_order(T_reduced.columns, +1)
+    preimage = DyckPath(T_reduced.frame(), "".join(NORTH if t in tops else EAST for t in order))
+    m = preimage.frame.m
+    return [sweep(cut_and_lift(preimage, r)) for r in sorted(ranks(preimage)) if r < m]
 
 
 def _strip_ok(columns: list[list[int]]) -> bool:

@@ -10,13 +10,24 @@ of a tableau read off area and coarea of its path directly.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from itertools import pairwise
+from operator import add
 
-from .core import DyckPath, _lowest_rank_rotation, make_frame, parse_path, ranks
+from .core import (
+    EAST,
+    NORTH,
+    DyckPath,
+    _lowest_rank_rotation,
+    _prefix_ranks,
+    make_frame,
+    parse_path,
+    ranks,
+)
 from .errors import NotFuss, RankNotPresent, RankTooLarge, TooNarrow
 # psi lives in fuss and stays importable from here.
 from .fuss import FussTableau, invert_fuss, psi, tableau_from_bottom_row
-from .sweep import sweep
+from .sweep import _E_FLAGS, sweep
 
 
 def _require_plus(T: FussTableau, op: str) -> None:
@@ -74,30 +85,53 @@ def cut_and_lift(preimage: DyckPath, r: int) -> DyckPath:
         i = ranks(preimage).index(r)
     except ValueError:
         raise RankNotPresent(f"rank {r} is not a vertex rank") from None
-    return _lift(preimage, i, k)
-
-
-def _lift(preimage: DyckPath, i: int, k: int) -> DyckPath:
-    """N B A E^k one frame up, for preimage = A B cut before step i; validated."""
-    frame = preimage.frame
-    lifted_frame = make_frame(k * (frame.n + 1) + 1, frame.n + 1)
     steps = preimage.steps
+    lifted_frame = make_frame(k * (frame.n + 1) + 1, frame.n + 1)
     return parse_path(lifted_frame, "N" + steps[i:] + steps[:i] + "E" * k)
 
 
 def fiber_by_cutting(T_reduced: FussTableau) -> list[DyckPath]:
     """All paths whose tableau reduces to T_reduced, via preimage cutting.
 
-    Returned in increasing order of the cut rank; the list has exactly
-    fiber_count(T_reduced) members.
+    Each member is the sweep image of ``cut_and_lift`` at a vertex of the
+    reduced preimage of rank < m', returned in increasing order of that
+    rank; the list has exactly fiber_count(T_reduced) members.  All members
+    come from one rank sort, and each is validated once, as a DyckPath.
+
+    Write (m, n) = (m'+k, n'+1) for the lifted frame and give the vertex
+    (E, H) of the reduced preimage the key kappa = m*H - n*E.  Cut at the
+    vertex of key kappa0, the lifted path N B A E^k starts each B step at
+    rank m + kappa - kappa0 and each A step at rank m + kappa - kappa0 - 1,
+    since m*n' - n*m' = -1.  Hence:
+
+    - kappa is injective, as gcd(m, n) = 1 and 0 <= H <= n' < n;
+    - the lifted path's start ranks are distinct, so the B and A letters
+      come in kappa order, whatever the cut;
+    - the tail E's start at ranks n, 2n, ..., kn, and the one at j*n
+      follows exactly the letters of kappa <= j*n - m + kappa0.
+
+    ``oracle.oracle_fiber_by_cutting`` lifts and sweeps each cut instead.
     """
     _require_plus(T_reduced, "fiber_by_cutting")
+    k = T_reduced.k
     # The reduced tableau's walk spells its preimage.
     preimage = DyckPath(T_reduced.frame(), T_reduced._walked[0])
-    m = preimage.frame.m
-    # One rank pass: the cuts are the vertices of rank < m, by rank.
-    cuts = sorted((r, i) for i, r in enumerate(ranks(preimage)) if r < m)
-    return [sweep(_lift(preimage, i, T_reduced.k)) for _, i in cuts]
+    steps, reduced_m = preimage.steps, preimage.frame.m
+    frame = make_frame(reduced_m + k, preimage.frame.n + 1)
+    m, n = frame.m, frame.n
+    doubled = list(_prefix_ranks(2 * m, 2 * n, steps))  # 2*kappa, vertex by vertex
+    keys = sorted(map(add, doubled, steps.encode().translate(_E_FLAGS)))
+    ne = NORTH + EAST  # the low bit of a key is 1 for East
+    letters = "".join([ne[key & 1] for key in keys])
+    kappas = [key >> 1 for key in keys]
+    cuts = sorted((r, d >> 1) for r, d in zip(ranks(preimage), doubled) if r < reduced_m)
+    members = []
+    for _, kappa0 in cuts:
+        tails = [bisect_right(kappas, j * n - m + kappa0) for j in range(1, k + 1)]
+        bounds = [0, *tails, None]
+        word = EAST.join([letters[a:b] for a, b in pairwise(bounds)])
+        members.append(DyckPath(frame, NORTH + word))
+    return members
 
 
 def coarea_from_top_row(T: FussTableau) -> int:

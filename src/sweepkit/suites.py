@@ -14,8 +14,15 @@ import math
 from dataclasses import dataclass
 
 from .core import DyckPath, Frame, area, dinv, enumerate_paths, make_frame
-from .fuss import fill_tableau, invert_fuss, tableau_to_sw, walk
-from .oracle import _fill_columns, _walk_order, oracle_dinv, oracle_invert_sweep
+from .fuss import FussTableau, fill_tableau, invert_fuss, tableau_to_sw, walk
+from .oracle import (
+    _fill_columns,
+    _walk_order,
+    oracle_dinv,
+    oracle_fiber_by_cutting,
+    oracle_invert_sweep,
+)
+from .reduction import fiber_by_cutting
 from .qtcatalan import CATALAN_ROUTES, path_count
 from .sweep import SWWord, steps_to_sw, sweep
 
@@ -111,18 +118,28 @@ def fuss_inversion(frames) -> tuple[int, Counterexample | None]:
 def _tableau(D: DyckPath, fillers: dict) -> dict:
     T = fill_tableau(SWWord(D.frame, steps_to_sw(D.steps)))
     T.validate()
+    fiber = [P.steps for P in fiber_by_cutting(T)] if T.sign > 0 else None
     return {"tableau_to_sw": tableau_to_sw(T).letters, "walk": walk(T).order,
-            "filled from": fillers.setdefault(T.columns, D.steps)}
+            "filled from": fillers.setdefault(T.columns, D.steps), "fiber": fiber}
+
+
+def _tableau_expected(D: DyckPath) -> dict:
+    fuss, columns = D.frame.fuss, reference_columns(D)
+    fiber = None  # a sign -1 tableau has no fiber
+    if fuss.sign > 0:
+        reference = FussTableau(k=fuss.k, n=D.frame.n, sign=+1, columns=columns)
+        fiber = [P.steps for P in oracle_fiber_by_cutting(reference)]
+    return {"tableau_to_sw": steps_to_sw(D.steps), "walk": tuple(_walk_order(columns, fuss.sign)),
+            "filled from": D.steps, "fiber": fiber}
 
 
 def tableau_walk(frames) -> tuple[int, Counterexample | None]:
     """Column filling is injective into valid tableaux, ``tableau_to_sw`` undoes
-    it, and the walk equals the oracle's column walk over the oracle's fill."""
+    it, the walk equals the oracle's column walk over the oracle's fill, and
+    for sign +1 the fiber one column up equals the oracle's cut-by-cut fiber."""
     fillers: dict = {}  # one for every frame: the columns fix the frame
     return _first("tableau and walk", (
-        (frame, D.steps, {"tableau_to_sw": steps_to_sw(D.steps),
-                          "walk": tuple(_walk_order(reference_columns(D), frame.fuss.sign)),
-                          "filled from": D.steps}, _tableau, D, fillers)
+        (frame, D.steps, _tableau_expected(D), _tableau, D, fillers)
         for frame, D in _fuss_paths(frames)))
 
 

@@ -51,7 +51,9 @@ def test_tableau_layers_script_runs(sign):
         capture_output=True, text=True, timeout=120, check=True,
     )
     rows = [json.loads(line) for line in done.stdout.splitlines()]
+    reduction = ["red", "fiber_by_cutting"] if sign == "1" else []
     assert [row["layer"] for row in rows] == [
-        "invert_fuss", "path_tableau", "walk", "tableau_rank_labels", "validate", "from_json"
+        "invert_fuss", "path_tableau", "walk", "tableau_rank_labels", "validate", "from_json",
+        *reduction,
     ]
     assert all(row["sign"] == int(sign) and row["n"] == 50 for row in rows)

@@ -8,7 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sweepkit.suites
-from sweepkit import en_word, make_frame, path_count, sw_to_steps, sw_word, sweep
+from sweepkit import (
+    en_word,
+    fiber_by_cutting,
+    fiber_count,
+    make_frame,
+    path_count,
+    path_tableau,
+    sw_to_steps,
+    sw_word,
+    sweep,
+)
 from sweepkit.bench import random_path
 from sweepkit.cli import main
 from helpers import FIG_EN, FIG_RANK_SEQUENCE, FIG_SW, FIG_WORD, frame_paths, fuss_frames
@@ -271,6 +281,22 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--max-steps", "6")
         assert code == 2
         lines, failed = out.splitlines(), "linear inversion vs enumeration: FAILED"
+        assert [line for line in lines if "FAILED" in line] == [failed]
+        assert lines[lines.index(failed) + 1] == f"  counterexample: {counterexample}"
+
+    def test_planted_fiber_fault_names_its_path(self, capsys, monkeypatch):
+        # A fiber in the wrong order first fails on the first sign +1 path
+        # whose tableau has a fiber of two or more members.
+        monkeypatch.setattr(sweepkit.suites, "fiber_by_cutting",
+                            lambda T: fiber_by_cutting(T)[::-1])
+        frames = fuss_frames(6)
+        frame, D = next((f, D) for f in frames if f.fuss.sign > 0
+                        for D in frame_paths(f.m, f.n) if fiber_count(path_tableau(D)) > 1)
+        _, counterexample = sweepkit.suites.tableau_walk(frames)
+        assert (counterexample.frame, counterexample.word) == (frame, D.steps)
+        code, out, _ = run(capsys, "verify", "--max-steps", "6")
+        assert code == 2
+        lines, failed = out.splitlines(), "tableau invariants and walk vs column walk: FAILED"
         assert [line for line in lines if "FAILED" in line] == [failed]
         assert lines[lines.index(failed) + 1] == f"  counterexample: {counterexample}"
 

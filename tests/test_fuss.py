@@ -377,6 +377,26 @@ class TestValidate:
         with pytest.raises(NotSingleCycle):
             walk(T)
 
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_shape_rule_on_every_height_list(self, sign):
+        def listed_shapes(k, n, heights):
+            # The rule written out as whole height lists, one per legal shape.
+            full = [k + 1] * n
+            shapes = [full] if sign > 0 else [full[1:] + [k - 1], full[2:] + [k, k]]
+            return heights in shapes and bool(heights[-1])
+
+        for k in (1, 2, 3):
+            for n in (1, 2, 3, 4):
+                for width in range(max(n - 2, 0), n + 2):
+                    for heights in itertools.product(range(k + 3), repeat=width):
+                        columns = tuple(tuple(range(h)) for h in heights)
+                        try:
+                            FussTableau(k=k, n=n, sign=sign, columns=columns)
+                            built = True
+                        except ValueError:
+                            built = False
+                        assert built == listed_shapes(k, n, list(heights)), (k, n, heights)
+
 
 class TestTableauJson:
     def test_roundtrip(self):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sweepkit import (
@@ -28,7 +30,8 @@ from sweepkit import (
     tableau_from_first_row,
     tableau_to_sw,
 )
-from sweepkit.oracle import oracle_fiber
+from sweepkit.bench import random_path
+from sweepkit.oracle import oracle_fiber, oracle_fiber_by_cutting
 from helpers import (
     BIG_FIRST_ROW,
     BIG_PSI_OF_REDUCED_ROWS,
@@ -167,6 +170,15 @@ class TestFiberSolutions:
                 assert len(by_cut) == fiber_count(T)
                 for D in fiber_by_cutting(T):
                     assert red(path_tableau(D)) == T
+
+    def test_one_sort_matches_the_cut_by_cut_reference(self):
+        # The same members in the same order, lifted and swept cut by cut.
+        tableaux = [path_tableau(D) for f in fuss_frames(17, sign=+1)
+                    for D in frame_paths(f.m, f.n)]
+        frame = make_frame(1001, 500)
+        tableaux += [path_tableau(random_path(frame, random.Random(seed))) for seed in range(4)]
+        for T in tableaux:
+            assert fiber_by_cutting(T) == oracle_fiber_by_cutting(T), T.columns
 
     def test_bottom_rows_differ_only_in_first_entry(self):
         members = fiber_by_bottom_rows(big_reduced())
