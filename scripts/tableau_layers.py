@@ -1,10 +1,12 @@
-"""Time the Fuss tableau layers on one random path, one JSON line per layer.
+"""Time the path and Fuss tableau layers on one random path, one JSON line per layer.
 
     python3 scripts/tableau_layers.py --n 1000000 --k 2 --sign 1 --reps 2
     python3 scripts/tableau_layers.py --src OTHER_CHECKOUT/src ...
 
-Layers: invert_fuss, path_tableau, walk(T), tableau_rank_labels(T),
-T.validate() and FussTableau.from_json, and for sign +1 also red(T) and
+Layers: random_path (from a fresh generator of the same seed), sweep,
+sw_word, en_word, rank_sequence, rank_complement, bipartite_invert(sw, en),
+invert_fuss, path_tableau, walk(T), tableau_rank_labels(T), T.validate() and
+FussTableau.from_json, and for sign +1 also red(T) and
 fiber_by_cutting(red(T)).  Every input is built outside the timer, and each
 timed call gets a tableau fresh from ``path_tableau`` (or ``red`` of one),
 so nothing an earlier call stored on it is reused.  A row reports the best of
@@ -18,6 +20,7 @@ import argparse
 import json
 import random
 import sys
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 
@@ -38,7 +41,15 @@ def main() -> None:
     frame = sk.make_frame(args.k * args.n + args.sign, args.n)
     path = random_path(frame, random.Random(args.seed))
     text = sk.path_tableau(path).to_json()
+    words = (sk.sw_word(path), sk.en_word(path))
     layers = {
+        "random_path": (lambda: random.Random(args.seed), partial(random_path, frame)),
+        "sweep": (lambda: path, sk.sweep),
+        "sw_word": (lambda: path, sk.sw_word),
+        "en_word": (lambda: path, sk.en_word),
+        "rank_sequence": (lambda: path, sk.rank_sequence),
+        "rank_complement": (lambda: path, sk.rank_complement),
+        "bipartite_invert": (lambda: words, lambda pair: sk.bipartite_invert(*pair)),
         "invert_fuss": (lambda: path, sk.invert_fuss),
         "path_tableau": (lambda: path, sk.path_tableau),
         "walk": (lambda: sk.path_tableau(path), sk.walk),

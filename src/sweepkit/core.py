@@ -66,6 +66,14 @@ def make_frame(m: int, n: int) -> Frame:
     return Frame(m=m, n=n, fuss=fuss)
 
 
+def _unchecked(cls, **fields):
+    """``cls`` built from ``fields`` without ``__post_init__``, for an output made valid
+    by a theorem that the making function's docstring names (README, Validation boundary)."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)  # a frozen dataclass refuses plain setattr
+    return value
+
+
 def _prefix_ranks(m: int, n: int, steps: str) -> Iterator[int]:
     """Rank of the start vertex of each step of a word over {N, E}, lazily."""
     return accumulate(map({NORTH: m, EAST: -n}.__getitem__, steps[:-1]), initial=0)
@@ -170,7 +178,8 @@ class RankSequence:
 
 
 def rank_sequence(path: DyckPath) -> RankSequence:
-    return RankSequence(tuple(sorted(ranks(path))))
+    """Sorted start ranks, unchecked: coprime ranks are distinct and the least is 0."""
+    return _unchecked(RankSequence, values=tuple(sorted(ranks(path))))
 
 
 def _rank_typed_letters(path: DyckPath, at_start: bool) -> str:
@@ -242,12 +251,12 @@ def dinv(path: DyckPath) -> int:
 def rank_complement(path: DyckPath) -> DyckPath:
     """Cut at the highest-rank vertex as A|B and rotate BA by 180 degrees.
 
-    An involution that preserves dinv.
+    An involution on the frame's paths that preserves dinv; built unchecked.
     """
     rs = ranks(path)
     i = rs.index(max(rs))
     rotated = (path.steps[i:] + path.steps[:i])[::-1]
-    return DyckPath(path.frame, rotated)
+    return _unchecked(DyckPath, frame=path.frame, steps=rotated)
 
 
 def enumerate_paths(frame: Frame, prefix: str = "") -> Iterator[DyckPath]:

@@ -28,7 +28,7 @@ from functools import cached_property, partial
 from itertools import accumulate, chain, zip_longest
 from operator import countOf, is_not
 
-from .core import DyckPath, Frame, make_frame
+from .core import DyckPath, Frame, _unchecked, make_frame
 from .errors import (
     NotFuss,
     NotSingleCycle,
@@ -86,10 +86,9 @@ class FussTableau:
             short = (k - 1,)
         else:
             short = (k, k)
-        width = max(n, len(short))
-        if (len(cols) != width or 0 in short  # for k = 1, k - 1 = 0 is no column
-                or tuple(map(len, cols[width - len(short):])) != short
-                or countOf(map(len, cols), k + 1) != width - len(short)):
+        if (len(cols) != n or 0 in short  # for k = 1, k - 1 = 0 is no column
+                or tuple(map(len, cols[n - len(short):])) != short
+                or countOf(map(len, cols), k + 1) != n - len(short)):
             raise ValueError(f"columns do not have the shape of a k = {k}, n = {n}, "
                              f"sign {sign:+d} tableau")
 
@@ -394,14 +393,14 @@ def tableau_rank_labels(T: FussTableau) -> dict[int, int]:
 def invert_fuss(path: DyckPath) -> DyckPath:
     """The sweep preimage of a Fuss path in O(m+n) time.
 
-    The input is trusted as validated; the preimage is validated again as
-    a DyckPath, which checks the walk's output in one more pass.
+    The input is trusted as validated.  The walk spells a path of the frame
+    by the paper's theorem, so the preimage is built unchecked.
     """
     k, sign = _fuss_params(path.frame)
     up, depth, tops, feet = _fill(path.steps, k, sign)
     bold = _turns(up, tops, feet, path.frame.size, sign)
     del depth, tops, feet  # freed before the walk fills ``order``: the peak stays the fill's
-    return DyckPath(path.frame, _cycle(up, bold, path.frame.size, sign)[0])
+    return _unchecked(DyckPath, frame=path.frame, steps=_cycle(up, bold, len(path.steps), sign)[0])
 
 
 def tableau_from_first_row(k: int, n: int, t) -> FussTableau:

@@ -20,6 +20,7 @@ from .core import (
     DyckPath,
     _lowest_rank_rotation,
     _prefix_ranks,
+    _unchecked,
     make_frame,
     parse_path,
     ranks,
@@ -96,7 +97,7 @@ def fiber_by_cutting(T_reduced: FussTableau) -> list[DyckPath]:
     Each member is the sweep image of ``cut_and_lift`` at a vertex of the
     reduced preimage of rank < m', returned in increasing order of that
     rank; the list has exactly fiber_count(T_reduced) members.  All members
-    come from one rank sort, and each is validated once, as a DyckPath.
+    come from one rank sort and, being sweep images (below), are unchecked.
 
     Write (m, n) = (m'+k, n'+1) for the lifted frame and give the vertex
     (E, H) of the reduced preimage the key kappa = m*H - n*E.  Cut at the
@@ -130,7 +131,7 @@ def fiber_by_cutting(T_reduced: FussTableau) -> list[DyckPath]:
         tails = [bisect_right(kappas, j * n - m + kappa0) for j in range(1, k + 1)]
         bounds = [0, *tails, None]
         word = EAST.join([letters[a:b] for a, b in pairwise(bounds)])
-        members.append(DyckPath(frame, NORTH + word))
+        members.append(_unchecked(DyckPath, frame=frame, steps=NORTH + word))
     return members
 
 

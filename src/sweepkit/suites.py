@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DyckPath, Frame, area, dinv, enumerate_paths, make_frame
+from .core import (DyckPath, Frame, RankSequence, area, dinv, enumerate_paths, make_frame,
+                   parse_path, rank_complement, rank_sequence)
 from .fuss import FussTableau, fill_tableau, invert_fuss, tableau_to_sw, walk
 from .oracle import (
     _fill_columns,
@@ -24,7 +25,7 @@ from .oracle import (
 )
 from .reduction import fiber_by_cutting
 from .qtcatalan import CATALAN_ROUTES, path_count
-from .sweep import SWWord, steps_to_sw, sweep
+from .sweep import ENWord, SWWord, bipartite_invert, en_word, steps_to_sw, sw_word, sweep
 
 
 def coprime_frames(max_steps: int) -> list[Frame]:
@@ -81,9 +82,16 @@ def _fuss_paths(frames):
 
 
 def _transport(D: DyckPath, preimages: dict[str, str]) -> dict:
-    image = sweep(D)
-    return {"path count": path_count(D.frame), "dinv": dinv(D), "area(sweep)": area(image),
-            "sweep preimage": preimages.setdefault(image.steps, D.steps)}
+    frame, image, sw, en = D.frame, sweep(D), sw_word(D), en_word(D)
+    complement, rs, preimage = rank_complement(D), rank_sequence(D), bipartite_invert(sw, en)[0]
+    return {"path count": path_count(frame), "dinv": dinv(D), "area(sweep)": area(image),
+            "sweep preimage": preimages.setdefault(image.steps, D.steps),
+            "parse_path(sweep)": parse_path(frame, image.steps) == image,
+            "SWWord(sw_word)": SWWord(frame, sw.letters) == sw,
+            "ENWord(en_word)": ENWord(frame, en.letters) == en,
+            "parse_path(rank_complement)": parse_path(frame, complement.steps) == complement,
+            "RankSequence(rank_sequence)": RankSequence(rs.values) == rs,
+            "parse_path(bipartite_invert)": parse_path(frame, preimage.steps).steps}
 
 
 def _transport_cases(frames):
@@ -93,12 +101,16 @@ def _transport_cases(frames):
         for D in paths:
             cells = oracle_dinv(D)
             expected = {"path count": len(paths), "dinv": cells, "area(sweep)": cells,
-                        "sweep preimage": D.steps}
+                        "sweep preimage": D.steps, "parse_path(sweep)": True,
+                        "SWWord(sw_word)": True, "ENWord(en_word)": True,
+                        "parse_path(rank_complement)": True, "RankSequence(rank_sequence)": True,
+                        "parse_path(bipartite_invert)": D.steps}
             yield frame, D.steps, expected, _transport, D, preimages
 
 
 def sweep_transport(frames) -> tuple[int, Counterexample | None]:
-    """Path count, sweep injective, and dinv = cell-rule dinv = area of the image."""
+    """Path count, sweep injective, dinv = cell-rule dinv = area of the image, every
+    output built unchecked valid, and bipartite_invert(sw_word, en_word) the path."""
     return _first("sweep transport", _transport_cases(frames))
 
 
@@ -118,7 +130,8 @@ def fuss_inversion(frames) -> tuple[int, Counterexample | None]:
 def _tableau(D: DyckPath, fillers: dict) -> dict:
     T = fill_tableau(SWWord(D.frame, steps_to_sw(D.steps)))
     T.validate()
-    fiber = [P.steps for P in fiber_by_cutting(T)] if T.sign > 0 else None
+    fiber = None if T.sign < 0 else [
+        parse_path(P.frame, P.steps).steps for P in fiber_by_cutting(T)]
     return {"tableau_to_sw": tableau_to_sw(T).letters, "walk": walk(T).order,
             "filled from": fillers.setdefault(T.columns, D.steps), "fiber": fiber}
 
@@ -136,7 +149,7 @@ def _tableau_expected(D: DyckPath) -> dict:
 def tableau_walk(frames) -> tuple[int, Counterexample | None]:
     """Column filling is injective into valid tableaux, ``tableau_to_sw`` undoes
     it, the walk equals the oracle's column walk over the oracle's fill, and
-    for sign +1 the fiber one column up equals the oracle's cut-by-cut fiber."""
+    for sign +1 the fiber one column up, through parse_path, is the oracle's."""
     fillers: dict = {}  # one for every frame: the columns fix the frame
     return _first("tableau and walk", (
         (frame, D.steps, _tableau_expected(D), _tableau, D, fillers)

@@ -20,6 +20,7 @@ from .core import (
     Frame,
     RankSequence,
     _rank_typed_letters,
+    _unchecked,
     area,
     parse_path,
 )
@@ -62,7 +63,7 @@ class SWWord:
     def as_path(self) -> DyckPath:
         """The path drawn by reading the letters left to right (S up, W right).
 
-        Validated once, when the word was built; no second parse.
+        Made with the word, checked or valid by the theorem of sw_word; no second parse.
         """
         return self._path
 
@@ -87,18 +88,21 @@ class ENWord:
 
 
 def sw_word(path: DyckPath) -> SWWord:
-    """S at each rank starting a North step, W at each rank starting an East step."""
-    return SWWord(path.frame, steps_to_sw(_rank_typed_letters(path, at_start=True)))
+    """S/W at each rank starting a North/East step; unchecked: it spells the sweep image."""
+    steps = _rank_typed_letters(path, at_start=True)
+    return _unchecked(SWWord, frame=path.frame, letters=steps_to_sw(steps),
+                      _path=_unchecked(DyckPath, frame=path.frame, steps=steps))
 
 
 def en_word(path: DyckPath) -> ENWord:
-    """N at each rank ending a North step, E at each rank ending an East step."""
-    return ENWord(path.frame, _rank_typed_letters(path, at_start=False))
+    """N/E at each rank ending a North/East step; unchecked: read backwards, it is
+    the SW word of the swept rank complement."""
+    return _unchecked(ENWord, frame=path.frame, letters=_rank_typed_letters(path, at_start=False))
 
 
 def sweep(path: DyckPath) -> DyckPath:
-    """The sweep image: draw the SW word of the path as steps."""
-    return DyckPath(path.frame, _rank_typed_letters(path, at_start=True))
+    """The sweep image, the SW word drawn as steps; unchecked: sweep maps D_{m,n} onto itself."""
+    return _unchecked(DyckPath, frame=path.frame, steps=_rank_typed_letters(path, at_start=True))
 
 
 def bipartite_invert(sw: SWWord, en: ENWord) -> tuple[DyckPath, RankSequence]:
@@ -110,7 +114,8 @@ def bipartite_invert(sw: SWWord, en: ENWord) -> tuple[DyckPath, RankSequence]:
     recover its rank sequence.  One C-level merge builds the successor of
     every position, ``~p`` for the N position p of an S and the E position
     p of a W (the signed encoding of ``fuss._turns``); one loop walks it.
-    The reference walk is ``oracle.oracle_bipartite_invert``.
+    The reference walk is ``oracle.oracle_bipartite_invert``.  The path is
+    unchecked: the walk visits each position once and RankSequence keeps ranks >= 0.
     """
     if sw.frame != en.frame:
         raise InconsistentPair("SW and EN words live on different frames")
@@ -151,7 +156,7 @@ def bipartite_invert(sw: SWWord, en: ENWord) -> tuple[DyckPath, RankSequence]:
         rs = RankSequence(tuple(rank_at))
     except ValueError:
         raise InconsistentPair("recovered ranks are not increasing along the words") from None
-    return DyckPath(sw.frame, out.decode("ascii")), rs
+    return _unchecked(DyckPath, frame=sw.frame, steps=out.decode("ascii")), rs
 
 
 def bounce(path: DyckPath) -> int:

@@ -6,16 +6,19 @@ from pathlib import Path
 
 import pytest
 
-from sweepkit import make_frame, path_count
+from sweepkit import make_frame, parse_path, path_count
 from sweepkit.bench import random_path, rows_to_csv, time_inversions
-from helpers import frame_paths
+from helpers import coprime_frames, frame_paths
 
 
 def test_random_path_is_valid_and_deterministic():
+    # random_path builds its output unchecked, by the cycle lemma.
+    for frame in coprime_frames(20):
+        for seed in range(16):
+            path = random_path(frame, random.Random(seed))
+            assert parse_path(frame, path.steps) == path
     frame = make_frame(41, 20)
-    one = random_path(frame, random.Random("x"))
-    two = random_path(frame, random.Random("x"))
-    assert one == two  # construction validates; equality pins the seed
+    assert random_path(frame, random.Random("x")) == random_path(frame, random.Random("x"))
 
 
 def test_random_path_single_row_frame():
@@ -53,7 +56,8 @@ def test_tableau_layers_script_runs(sign):
     rows = [json.loads(line) for line in done.stdout.splitlines()]
     reduction = ["red", "fiber_by_cutting"] if sign == "1" else []
     assert [row["layer"] for row in rows] == [
-        "invert_fuss", "path_tableau", "walk", "tableau_rank_labels", "validate", "from_json",
+        "random_path", "sweep", "sw_word", "en_word", "rank_sequence", "rank_complement",
+        "bipartite_invert", "invert_fuss", "path_tableau", "walk", "tableau_rank_labels", "validate", "from_json",
         *reduction,
     ]
     assert all(row["sign"] == int(sign) and row["n"] == 50 for row in rows)

@@ -9,19 +9,24 @@ from hypothesis import given, settings, strategies as st
 
 import sweepkit.suites
 from sweepkit import (
+    BelowDiagonal,
+    DyckPath,
     en_word,
     fiber_by_cutting,
     fiber_count,
     make_frame,
     path_count,
     path_tableau,
+    rank_complement,
     sw_to_steps,
     sw_word,
     sweep,
 )
 from sweepkit.bench import random_path
 from sweepkit.cli import main
-from helpers import FIG_EN, FIG_RANK_SEQUENCE, FIG_SW, FIG_WORD, frame_paths, fuss_frames
+from sweepkit.core import _unchecked
+from helpers import (FIG_EN, FIG_RANK_SEQUENCE, FIG_SW, FIG_WORD, coprime_frames, frame_paths,
+                     fuss_frames, prefix_scan)
 
 
 def run(capsys, *argv):
@@ -281,6 +286,28 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--max-steps", "6")
         assert code == 2
         lines, failed = out.splitlines(), "linear inversion vs enumeration: FAILED"
+        assert [line for line in lines if "FAILED" in line] == [failed]
+        assert lines[lines.index(failed) + 1] == f"  counterexample: {counterexample}"
+
+    def test_planted_unchecked_fault_names_its_path(self, capsys, monkeypatch):
+        # A rank complement with its third and fourth steps swapped, built
+        # unchecked like the real one, dips below the diagonal only on some
+        # paths; the suite's validators must catch the first of them.
+        def planted(path):
+            s = rank_complement(path).steps
+            return _unchecked(DyckPath, frame=path.frame, steps=s[:2] + s[3:4] + s[2:3] + s[4:])
+
+        monkeypatch.setattr(sweepkit.suites, "rank_complement", planted)
+        frames = coprime_frames(6)
+        frame, D = next((f, D) for f in frames for D in frame_paths(f.m, f.n)
+                        if prefix_scan(f.m, f.n, planted(D).steps) is not None)
+        assert frame.size == 4  # it leaves the three paths with m+n <= 3 valid
+        _, counterexample = sweepkit.suites.sweep_transport(frames)
+        assert (counterexample.frame, counterexample.word) == (frame, D.steps)
+        assert isinstance(counterexample.got, BelowDiagonal)
+        code, out, _ = run(capsys, "verify", "--max-steps", "6")
+        assert code == 2
+        lines, failed = out.splitlines(), "sweep bijection and dinv->area transport: FAILED"
         assert [line for line in lines if "FAILED" in line] == [failed]
         assert lines[lines.index(failed) + 1] == f"  counterexample: {counterexample}"
 

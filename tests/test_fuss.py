@@ -372,6 +372,9 @@ class TestValidate:
         # The one column of a k = 2, n = 1, sign -1 tableau is k - 1 = 1 high, not 2.
         with pytest.raises(ValueError, match="shape"):
             FussTableau(k=2, n=1, sign=-1, columns=((1, 2),))
+        # Nor two columns k high: a tableau has exactly n columns.
+        with pytest.raises(ValueError, match="shape"):
+            FussTableau(k=2, n=1, sign=-1, columns=((1, 2), (3, 4)))
         # A legal shape is built; that it encodes no path is validate's finding.
         T = FussTableau(k=1, n=3, sign=-1, columns=((1, 2), (3,), (4,)))
         with pytest.raises(NotSingleCycle):
@@ -380,10 +383,10 @@ class TestValidate:
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_shape_rule_on_every_height_list(self, sign):
         def listed_shapes(k, n, heights):
-            # The rule written out as whole height lists, one per legal shape.
+            # The rule written out as whole height lists of n columns, one per legal shape.
             full = [k + 1] * n
             shapes = [full] if sign > 0 else [full[1:] + [k - 1], full[2:] + [k, k]]
-            return heights in shapes and bool(heights[-1])
+            return heights in shapes and len(heights) == n and bool(heights[-1])
 
         for k in (1, 2, 3):
             for n in (1, 2, 3, 4):

@@ -3,7 +3,6 @@ import pytest
 from sweepkit import (
     FrameTooLarge,
     area,
-    dinv,
     make_frame,
     parse_path,
     path_count,
@@ -15,18 +14,10 @@ from sweepkit import (
 from sweepkit.oracle import (
     _sweep_images,
     enumerate_tableaux,
-    oracle_dinv,
     oracle_fiber,
     oracle_invert_sweep,
 )
 from helpers import FIG_FRAME, FIG_WORD, coprime_frames, frame_paths
-
-
-def test_oracle_dinv_matches_direct_count():
-    for frame in coprime_frames(12):
-        for path in frame_paths(frame.m, frame.n):
-            assert oracle_dinv(path) == dinv(path)
-            assert oracle_dinv(path) == area(sweep(path))
 
 
 def test_oracle_invert_identity_on_strips():

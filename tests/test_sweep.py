@@ -8,7 +8,6 @@ from sweepkit import (
     area,
     bipartite_invert,
     bounce,
-    dinv,
     en_word,
     make_frame,
     parse_path,
@@ -109,15 +108,6 @@ class TestSweep:
     def test_small(self):
         frame = make_frame(3, 2)
         assert sweep(parse_path(frame, "NENEE")).steps == "NNEEE"
-
-    def test_transport_and_bijection(self):
-        for frame in coprime_frames(12):
-            images = set()
-            for path in frame_paths(frame.m, frame.n):
-                image = sweep(path)
-                assert area(image) == dinv(path)
-                images.add(image.steps)
-            assert len(images) == len(frame_paths(frame.m, frame.n))
 
     def test_complement_word_mirror(self):
         # SW word of the swept complement = reversed EN word, N->S, E->W.
