@@ -4,10 +4,10 @@
     python3 scripts/tableau_layers.py --src OTHER_CHECKOUT/src ...
 
 Layers: random_path (from a fresh generator of the same seed), sweep,
-sw_word, en_word, rank_sequence, rank_complement, bipartite_invert(sw, en),
-invert_fuss, path_tableau, walk(T), tableau_rank_labels(T), T.validate() and
-FussTableau.from_json, and for sign +1 also red(T) and
-fiber_by_cutting(red(T)).  Every input is built outside the timer, and each
+sw_word, en_word, rank_sequence, rank_complement, area, dinv,
+bipartite_invert(sw, en), invert_fuss, path_tableau, walk(T),
+tableau_rank_labels(T), T.validate() and FussTableau.from_json, and for
+sign +1 also red(T) and fiber_by_cutting(red(T)).  Every input is built outside the timer, and each
 timed call gets a tableau fresh from ``path_tableau`` (or ``red`` of one),
 so nothing an earlier call stored on it is reused.  A row reports the best of
 ``--reps`` calls.  ``--src`` imports sweepkit from another checkout, so one
@@ -49,6 +49,8 @@ def main() -> None:
         "en_word": (lambda: path, sk.en_word),
         "rank_sequence": (lambda: path, sk.rank_sequence),
         "rank_complement": (lambda: path, sk.rank_complement),
+        "area": (lambda: path, sk.area),
+        "dinv": (lambda: path, sk.dinv),
         "bipartite_invert": (lambda: words, lambda pair: sk.bipartite_invert(*pair)),
         "invert_fuss": (lambda: path, sk.invert_fuss),
         "path_tableau": (lambda: path, sk.path_tableau),

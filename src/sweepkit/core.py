@@ -13,14 +13,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import indexOf, lt
+from itertools import accumulate, repeat
+from operator import add, and_, indexOf, lt
 from typing import Iterator, Optional, Sequence
 
 from .errors import BelowDiagonal, NotCoprime, NotFuss, WrongStepCounts
 
 NORTH = "N"
 EAST = "E"
+
+# Step word bytes -> 1 at each E, 0 at each N; rank-sort key bits -> letters.
+_E_FLAGS = bytes.maketrans(b"NE", b"\0\1")
+_KEY_LETTERS = bytes.maketrans(b"\0\1", b"NE")
 
 
 @dataclass(frozen=True)
@@ -75,8 +79,16 @@ def _unchecked(cls, **fields):
 
 
 def _prefix_ranks(m: int, n: int, steps: str) -> Iterator[int]:
-    """Rank of the start vertex of each step of a word over {N, E}, lazily."""
+    """Rank of the start vertex of each step of a word over {N, E}, lazily: the one rank
+    walk, beside DyckPath's validation loop and the walk of ``sweep.bipartite_invert``."""
     return accumulate(map({NORTH: m, EAST: -n}.__getitem__, steps[:-1]), initial=0)
+
+
+def _rotation_at(m: int, n: int, steps: str, rank: int) -> str:
+    """The cyclic rotation of the word that starts at its first vertex of the
+    given start rank; ValueError if no step starts there.  One C-level pass."""
+    i = indexOf(_prefix_ranks(m, n, steps), rank)
+    return steps[i:] + steps[:i]
 
 
 def _lowest_rank_rotation(m: int, n: int, steps: str) -> str:
@@ -86,8 +98,26 @@ def _lowest_rank_rotation(m: int, n: int, steps: str) -> str:
     rotation that is a path of the frame (the cycle lemma).  Two C-level
     passes over the start ranks, none of them stored.
     """
-    i = indexOf(_prefix_ranks(m, n, steps), min(_prefix_ranks(m, n, steps)))
-    return steps[i:] + steps[:i]
+    return _rotation_at(m, n, steps, min(_prefix_ranks(m, n, steps)))
+
+
+def _rank_keys(frame: Frame, steps: str, at_start: bool = True) -> list[int]:
+    """Keys 2*rank + (1 for East) of the steps, in word order, for ``_rank_sort``.
+
+    A step is ranked by its start, or by its end: the next step's start rank,
+    and for the last step 0, the first start rank.  So end ranks pair each
+    start rank with the letter of the step before, cyclically.
+    """
+    flags = (steps if at_start else steps[-1:] + steps[:-1]).encode().translate(_E_FLAGS)
+    return list(map(add, _prefix_ranks(2 * frame.m, 2 * frame.n, steps), flags))
+
+
+def _rank_sort(keys: list[int]) -> str:
+    """Sort ``_rank_keys`` in place and spell their letters.  Both rank sets are the m+n
+    distinct start ranks, so one C-level sort orders the steps and the low bit gives the
+    letter back: the kernel behind sweep, sw_word, en_word, dinv and fiber_by_cutting."""
+    keys.sort()
+    return bytes(map(and_, keys, repeat(1))).translate(_KEY_LETTERS).decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -118,8 +148,9 @@ class DyckPath:
             else:
                 r -= n
                 if r < 0:
-                    ends = accumulate(m if ch == NORTH else -n for ch in steps)
-                    raise BelowDiagonal(next(i for i, e in enumerate(ends, 1) if e < 0))
+                    # The counts make the word pure N/E: start rank i ends prefix i.
+                    starts = enumerate(_prefix_ranks(m, n, steps))
+                    raise BelowDiagonal(next(i for i, rank in starts if rank < 0))
 
     def to_json(self) -> str:
         return json.dumps({"m": self.frame.m, "n": self.frame.n, "steps": self.steps})
@@ -182,30 +213,6 @@ def rank_sequence(path: DyckPath) -> RankSequence:
     return _unchecked(RankSequence, values=tuple(sorted(ranks(path))))
 
 
-def _rank_typed_letters(path: DyckPath, at_start: bool) -> str:
-    """Step letters in increasing rank order, each step ranked by its start or end.
-
-    Both rank sets are the m+n distinct step-start ranks, so one sort of the
-    keys 2*rank + (1 for East) orders them and the low bit gives the letter
-    back.  This is the kernel behind sweep, sw_word, en_word and dinv.
-    """
-    up, down = 2 * path.frame.m, 2 * path.frame.n
-    north_key, east_key = (0, 1) if at_start else (up, 1 - down)
-    keys = []
-    push = keys.append
-    r = 0
-    for ch in path.steps:
-        if ch == NORTH:
-            push(r + north_key)
-            r += up
-        else:
-            push(r + east_key)
-            r -= down
-    keys.sort()
-    letters = NORTH + EAST
-    return "".join([letters[key & 1] for key in keys])
-
-
 def _word_area(frame: Frame, steps: str) -> int:
     """area of a valid step word of the frame, in one pass.
 
@@ -245,7 +252,7 @@ def dinv(path: DyckPath) -> int:
     identity replaces is kept as ``oracle.oracle_dinv``, and the tests
     check the two against each other exhaustively.
     """
-    return _word_area(path.frame, _rank_typed_letters(path, at_start=True))
+    return _word_area(path.frame, _rank_sort(_rank_keys(path.frame, path.steps)))
 
 
 def rank_complement(path: DyckPath) -> DyckPath:
@@ -253,28 +260,14 @@ def rank_complement(path: DyckPath) -> DyckPath:
 
     An involution on the frame's paths that preserves dinv; built unchecked.
     """
-    rs = ranks(path)
-    i = rs.index(max(rs))
-    rotated = (path.steps[i:] + path.steps[:i])[::-1]
+    m, n, steps = path.frame.m, path.frame.n, path.steps
+    rotated = _rotation_at(m, n, steps, max(_prefix_ranks(m, n, steps)))[::-1]
     return _unchecked(DyckPath, frame=path.frame, steps=rotated)
 
 
-def enumerate_paths(frame: Frame, prefix: str = "") -> Iterator[DyckPath]:
-    """Yield every path of the frame once, in lexicographic order with N < E.
-
-    ``prefix`` restricts the stream to paths extending the given step word,
-    which partitions the enumeration for parallel consumers.
-    """
+def enumerate_paths(frame: Frame) -> Iterator[DyckPath]:
+    """Yield every path of the frame once, in lexicographic order with N < E."""
     m, n = frame.m, frame.n
-    north_left = n - prefix.count(NORTH)
-    east_left = m - (len(prefix) - prefix.count(NORTH))
-    if north_left < 0 or east_left < 0:
-        return
-    r = 0
-    for ch in prefix:
-        r += m if ch == NORTH else -n
-        if r < 0:
-            return
 
     def walk(word: list[str], north: int, east: int, r: int) -> Iterator[DyckPath]:
         if north == 0 and east == 0:
@@ -289,4 +282,4 @@ def enumerate_paths(frame: Frame, prefix: str = "") -> Iterator[DyckPath]:
             yield from walk(word, north, east - 1, r - n)
             word.pop()
 
-    yield from walk(list(prefix), north_left, east_left, r)
+    yield from walk([], n, m, 0)

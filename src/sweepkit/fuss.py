@@ -25,17 +25,11 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import accumulate, chain, zip_longest
+from itertools import chain, zip_longest
 from operator import countOf, is_not
 
-from .core import DyckPath, Frame, _unchecked, make_frame
-from .errors import (
-    NotFuss,
-    NotSingleCycle,
-    PrematureStall,
-    RowConstraintViolated,
-    SweepkitError,
-)
+from .core import DyckPath, Frame, _prefix_ranks, _unchecked, make_frame
+from .errors import NotFuss, NotSingleCycle, RowConstraintViolated, SweepkitError
 from .sweep import SWWord, ENWord, S_STEP, W_STEP
 
 
@@ -130,17 +124,18 @@ class FussTableau:
     def validate(self) -> None:
         """Check that the tableau is the column filling of some path.
 
-        The shape is checked at construction and the label set directly.
-        The rest is a round trip through the bijection of paths onto
-        tableaux: reading S at the first-row labels and W elsewhere must
-        give a valid path word whose column filling is this tableau again.
-        One sort of the labels plus linear passes; raises ValueError on
-        violation.  The round trip never reads the cached walk.
+        The shape is checked at construction.  The rest is a round trip
+        through the bijection of paths onto tableaux: reading S at the
+        first-row labels (each in 1 .. m+n, as they index the word) and W
+        elsewhere must give a valid path word whose column filling, which
+        holds exactly 1 .. m+n-1, is this tableau again.  Linear passes;
+        raises ValueError on violation.  The round trip never reads the cached walk.
         """
-        if sorted(chain.from_iterable(self.columns)) != list(range(1, self.size)):
-            raise ValueError("entries must be exactly 1 .. m+n-1")
+        top, size = self.first_row(), self.size
+        if min(top) < 1 or max(top) > size:
+            raise ValueError(f"first-row labels must lie in 1 .. m+n = {size}")
         try:
-            refilled = fill_tableau(tableau_to_sw(self))
+            refilled = fill_tableau(_first_row_sw(self.frame(), top))
         except SweepkitError as exc:
             raise ValueError(f"tableau encodes no path: {exc}") from exc
         if refilled.columns != self.columns:
@@ -226,6 +221,14 @@ def _fill(steps: str, k: int, sign: int) -> tuple[list[int], list[int], list[int
     ``up[label]`` is the label above it (0 in row 1), ``depth[label]`` its row,
     and ``tops``/``feet`` the first and last labels of the columns, both
     increasing, so the j-th top and the j-th foot share a column.
+
+    Every caller passes a path word, so no E finds the queue empty: after a
+    N's it empties only once all a*k cells below their tops are filled, and
+    the prefix ending at the e-th E has rank a*m - e*n >= 0.  For sign +1
+    that gives e <= a*k + a/n, so e <= a*k while a < n, and at a = n only the
+    last E, never filled, exceeds n*k.  For sign -1 it gives e <= a*k - a/n
+    < a*k (a >= 1, as a path starts with N), and the two virtual E's fill
+    the last two of the n*k cells.  ``oracle._fill_columns`` keeps the check.
     """
     size = len(steps)
     full = k + 1
@@ -247,8 +250,6 @@ def _fill(steps: str, k: int, sign: int) -> tuple[list[int], list[int], list[int
             top(label)
             push(label)
         else:
-            if not active:
-                raise PrematureStall(f"no active column for label {label}")
             a = pop()
             up[label] = a
             d = depth[a] + 1
@@ -386,8 +387,7 @@ def tableau_rank_labels(T: FussTableau) -> dict[int, int]:
     sweeping the reconstructed preimage returns the original path.
     """
     letters, order = T._walked
-    steps = map({"N": T.m, "E": -T.n}.__getitem__, letters)
-    return dict(zip(order, accumulate(steps, initial=0)))
+    return dict(zip(order, _prefix_ranks(T.m, T.n, letters)))
 
 
 def invert_fuss(path: DyckPath) -> DyckPath:

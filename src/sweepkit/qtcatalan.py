@@ -102,24 +102,14 @@ def _fuss_paths(k: int, n: int) -> Iterator[DyckPath]:
     return enumerate_paths(make_frame(k * n + 1, n))
 
 
-def catalan_qt(k: int, n: int, paths: Iterable[DyckPath] | None = None) -> QTPolynomial:
-    """Sum of q^dinv t^area over the m = kn+1 frame.
-
-    ``paths`` may restrict the sum to a partition of the frame (see
-    enumerate_paths prefixes); partial polynomials add up to the whole.
-    """
-    if paths is None:
-        paths = _fuss_paths(k, n)
-    return _accumulate((dinv(D), area(D)) for D in paths)
+def catalan_qt(k: int, n: int) -> QTPolynomial:
+    """Sum of q^dinv t^area over the m = kn+1 frame."""
+    return _accumulate((dinv(D), area(D)) for D in _fuss_paths(k, n))
 
 
-def catalan_qt_via_bounce(
-    k: int, n: int, paths: Iterable[DyckPath] | None = None
-) -> QTPolynomial:
+def catalan_qt_via_bounce(k: int, n: int) -> QTPolynomial:
     """Sum of q^area t^bounce, bounce taken through the linear inversion."""
-    if paths is None:
-        paths = _fuss_paths(k, n)
-    return _accumulate((area(D), area(invert_fuss(D))) for D in paths)
+    return _accumulate((area(D), area(invert_fuss(D))) for D in _fuss_paths(k, n))
 
 
 def catalan_step(k: int, n: int) -> QTPolynomial:

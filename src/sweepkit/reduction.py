@@ -12,14 +12,15 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import pairwise
-from operator import add
 
 from .core import (
     EAST,
     NORTH,
     DyckPath,
     _lowest_rank_rotation,
-    _prefix_ranks,
+    _rank_keys,
+    _rank_sort,
+    _rotation_at,
     _unchecked,
     make_frame,
     parse_path,
@@ -28,7 +29,7 @@ from .core import (
 from .errors import NotFuss, RankNotPresent, RankTooLarge, TooNarrow
 # psi lives in fuss and stays importable from here.
 from .fuss import FussTableau, invert_fuss, psi, tableau_from_bottom_row
-from .sweep import _E_FLAGS, sweep
+from .sweep import sweep
 
 
 def _require_plus(T: FussTableau, op: str) -> None:
@@ -83,12 +84,11 @@ def cut_and_lift(preimage: DyckPath, r: int) -> DyckPath:
     if r >= frame.m:
         raise RankTooLarge(f"rank {r} >= {frame.m} lifts to no valid path")
     try:
-        i = ranks(preimage).index(r)
+        rotated = _rotation_at(frame.m, frame.n, preimage.steps, r)
     except ValueError:
         raise RankNotPresent(f"rank {r} is not a vertex rank") from None
-    steps = preimage.steps
     lifted_frame = make_frame(k * (frame.n + 1) + 1, frame.n + 1)
-    return parse_path(lifted_frame, "N" + steps[i:] + steps[:i] + "E" * k)
+    return parse_path(lifted_frame, "N" + rotated + "E" * k)
 
 
 def fiber_by_cutting(T_reduced: FussTableau) -> list[DyckPath]:
@@ -120,15 +120,13 @@ def fiber_by_cutting(T_reduced: FussTableau) -> list[DyckPath]:
     steps, reduced_m = preimage.steps, preimage.frame.m
     frame = make_frame(reduced_m + k, preimage.frame.n + 1)
     m, n = frame.m, frame.n
-    doubled = list(_prefix_ranks(2 * m, 2 * n, steps))  # 2*kappa, vertex by vertex
-    keys = sorted(map(add, doubled, steps.encode().translate(_E_FLAGS)))
-    ne = NORTH + EAST  # the low bit of a key is 1 for East
-    letters = "".join([ne[key & 1] for key in keys])
-    kappas = [key >> 1 for key in keys]
-    cuts = sorted((r, d >> 1) for r, d in zip(ranks(preimage), doubled) if r < reduced_m)
+    # kappa is a start rank of the lifted frame, so the keys are its rank-sort keys.
+    keys = _rank_keys(frame, steps)  # 2*kappa + (1 for E): kappa <= x iff key <= 2x + 1
+    cuts = sorted((r, key >> 1) for r, key in zip(ranks(preimage), keys) if r < reduced_m)
+    letters = _rank_sort(keys)
     members = []
     for _, kappa0 in cuts:
-        tails = [bisect_right(kappas, j * n - m + kappa0) for j in range(1, k + 1)]
+        tails = [bisect_right(keys, 2 * (j * n - m + kappa0) + 1) for j in range(1, k + 1)]
         bounds = [0, *tails, None]
         word = EAST.join([letters[a:b] for a, b in pairwise(bounds)])
         members.append(_unchecked(DyckPath, frame=frame, steps=NORTH + word))

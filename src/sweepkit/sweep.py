@@ -19,7 +19,9 @@ from .core import (
     DyckPath,
     Frame,
     RankSequence,
-    _rank_typed_letters,
+    _E_FLAGS,
+    _rank_keys,
+    _rank_sort,
     _unchecked,
     area,
     parse_path,
@@ -31,9 +33,8 @@ W_STEP = "W"
 
 _SW_TO_NE = str.maketrans("SW", "NE")
 _NE_TO_SW = str.maketrans("NE", "SW")
-# EN word bytes -> 1 at each N (resp. E), 0 elsewhere, for itertools.compress.
+# EN word bytes -> 1 at each N (core._E_FLAGS: at each E), 0 elsewhere, for compress.
 _N_FLAGS = bytes.maketrans(b"NE", b"\1\0")
-_E_FLAGS = bytes.maketrans(b"NE", b"\0\1")
 
 
 def steps_to_sw(steps: str) -> str:
@@ -89,20 +90,21 @@ class ENWord:
 
 def sw_word(path: DyckPath) -> SWWord:
     """S/W at each rank starting a North/East step; unchecked: it spells the sweep image."""
-    steps = _rank_typed_letters(path, at_start=True)
-    return _unchecked(SWWord, frame=path.frame, letters=steps_to_sw(steps),
-                      _path=_unchecked(DyckPath, frame=path.frame, steps=steps))
+    image = sweep(path)
+    return _unchecked(SWWord, frame=path.frame, letters=steps_to_sw(image.steps), _path=image)
 
 
 def en_word(path: DyckPath) -> ENWord:
     """N/E at each rank ending a North/East step; unchecked: read backwards, it is
     the SW word of the swept rank complement."""
-    return _unchecked(ENWord, frame=path.frame, letters=_rank_typed_letters(path, at_start=False))
+    letters = _rank_sort(_rank_keys(path.frame, path.steps, at_start=False))
+    return _unchecked(ENWord, frame=path.frame, letters=letters)
 
 
 def sweep(path: DyckPath) -> DyckPath:
     """The sweep image, the SW word drawn as steps; unchecked: sweep maps D_{m,n} onto itself."""
-    return _unchecked(DyckPath, frame=path.frame, steps=_rank_typed_letters(path, at_start=True))
+    steps = _rank_sort(_rank_keys(path.frame, path.steps))
+    return _unchecked(DyckPath, frame=path.frame, steps=steps)
 
 
 def bipartite_invert(sw: SWWord, en: ENWord) -> tuple[DyckPath, RankSequence]:
@@ -116,6 +118,10 @@ def bipartite_invert(sw: SWWord, en: ENWord) -> tuple[DyckPath, RankSequence]:
     p of a W (the signed encoding of ``fuss._turns``); one loop walks it.
     The reference walk is ``oracle.oracle_bipartite_invert``.  The path is
     unchecked: the walk visits each position once and RankSequence keeps ranks >= 0.
+
+    No closure check is needed: with the S and N counts equal, ``succ`` is a
+    permutation, and following one from position 0 the first position seen
+    twice is 0; after m+n positions with no revisit, the next is 0.
     """
     if sw.frame != en.frame:
         raise InconsistentPair("SW and EN words live on different frames")
@@ -150,8 +156,6 @@ def bipartite_invert(sw: SWWord, en: ENWord) -> tuple[DyckPath, RankSequence]:
         else:
             r -= n
             pos = t
-    if pos != 0:
-        raise InconsistentPair("walk does not close at the starting position")
     try:
         rs = RankSequence(tuple(rank_at))
     except ValueError:

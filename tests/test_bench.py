@@ -57,7 +57,7 @@ def test_tableau_layers_script_runs(sign):
     reduction = ["red", "fiber_by_cutting"] if sign == "1" else []
     assert [row["layer"] for row in rows] == [
         "random_path", "sweep", "sw_word", "en_word", "rank_sequence", "rank_complement",
-        "bipartite_invert", "invert_fuss", "path_tableau", "walk", "tableau_rank_labels", "validate", "from_json",
+        "area", "dinv", "bipartite_invert", "invert_fuss", "path_tableau", "walk", "tableau_rank_labels", "validate", "from_json",
         *reduction,
     ]
     assert all(row["sign"] == int(sign) and row["n"] == 50 for row in rows)

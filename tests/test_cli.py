@@ -164,6 +164,9 @@ class TestTableauCommands:
             "[1, 2]",
             '{"k": 1, "n": 2, "sign": 1}',
             '{"k": 1, "n": 2, "sign": 1, "rows": [["a", "b"], [2, 4]]}',
+            # First-row labels outside 1 .. m+n, which would index the word.
+            '{"k": 1, "n": 2, "sign": 1, "rows": [[-10, 3], [2, 4]]}',
+            '{"k": 1, "n": 2, "sign": 1, "rows": [[1, 9], [2, 4]]}',
         ],
     )
     def test_malformed_tableau_exit_2(self, capsys, blob):

@@ -13,7 +13,6 @@ from sweepkit import (
     area,
     coarea,
     dinv,
-    enumerate_paths,
     make_frame,
     parse_path,
     path_from_json,
@@ -247,11 +246,3 @@ class TestEnumerate:
 
     def test_seventy_five(self):
         assert len(frame_paths(7, 5)) == 66
-
-    def test_prefix_partition(self):
-        frame = make_frame(5, 3)
-        whole = {p.steps for p in enumerate_paths(frame)}
-        pieces = set()
-        for prefix in ("NN", "NE"):
-            pieces |= {p.steps for p in enumerate_paths(frame, prefix=prefix)}
-        assert pieces == whole

@@ -28,14 +28,13 @@ from sweepkit import (
     reduced_walk,
     steps_to_sw,
     sw_word,
-    sweep,
     tableau_from_bottom_row,
     tableau_from_first_row,
     tableau_rank_labels,
     tableau_to_sw,
     walk,
 )
-from sweepkit.oracle import _walk_order, oracle_invert_sweep
+from sweepkit.oracle import _walk_order
 from sweepkit.suites import fuss_inversion, reference_columns, tableau_walk
 from helpers import (
     K3N4_PREIMAGE_SW,
@@ -70,17 +69,6 @@ class TestFill:
         T = fill_tableau(SWWord(make_frame(4, 1), "SWWWW"))
         assert T.columns == ((1, 2, 3, 4),)
 
-    def test_roundtrip_small(self):
-        for frame in fuss_frames(13):
-            for path in frame_paths(frame.m, frame.n):
-                word = sw_word(path)
-                assert tableau_to_sw(fill_tableau(word)) == word
-
-    def test_invariants_hold(self):
-        for frame in fuss_frames(13, sign=+1):
-            for path in frame_paths(frame.m, frame.n):
-                path_tableau(path).validate()
-
     def test_matches_per_column_reference(self):
         # The label-indexed fill (rows by depth) against the per-column
         # list filling, for both entry points, every path, both signs.
@@ -90,12 +78,6 @@ class TestFill:
                 expected = reference_columns(word.as_path())
                 assert fill_tableau(word).completed_columns() == expected
                 assert path_tableau(path).completed_columns() == reference_columns(path)
-
-    def test_bijective_on_small_frames(self):
-        for frame in fuss_frames(13, sign=+1):
-            paths = frame_paths(frame.m, frame.n)
-            images = {path_tableau(p).columns for p in paths}
-            assert len(images) == len(paths)
 
 
 class TestTableauToSw:
@@ -147,13 +129,6 @@ class TestWalk:
     def test_single_column_descends(self):
         T = fill_tableau(SWWord(make_frame(4, 1), "SWWWW"))
         assert walk(T).order == (1, 5, 4, 3, 2)
-
-    def test_visits_everything_once(self):
-        for frame in fuss_frames(13):
-            for path in frame_paths(frame.m, frame.n):
-                order = walk(path_tableau(path)).order
-                assert order[0] == 1
-                assert sorted(order) == list(range(1, frame.size + 1))
 
     def test_column_segment_and_splice(self):
         # The full walk contains the descending column-1 segment; splicing
@@ -234,17 +209,6 @@ class TestInvertFuss:
         checked, counterexample = fuss_inversion(frames)
         assert counterexample is None, str(counterexample)
         assert checked == sum(len(frame_paths(f.m, f.n)) for f in frames)
-
-    def test_round_trips(self):
-        for frame in fuss_frames(13):
-            for path in frame_paths(frame.m, frame.n):
-                assert invert_fuss(sweep(path)) == path
-                assert sweep(invert_fuss(path)) == path
-
-    def test_agrees_with_brute(self):
-        frame = make_frame(7, 3)
-        for path in frame_paths(7, 3):
-            assert invert_fuss(path) == oracle_invert_sweep(path)
 
 
 class TestRowConstructors:
@@ -362,7 +326,9 @@ class TestValidate:
 
     @pytest.mark.parametrize(
         "columns",
-        [((1, 2, 3, 4), ()), ((1, 2),), ((1, 2), (3, 3)), ((2, 1), (3, 4))],
+        # The last three put a first-row label past m+n = 5, at 0, and at -10 (no wrap-around).
+        [((1, 2, 3, 4), ()), ((1, 2),), ((1, 2), (3, 3)), ((2, 1), (3, 4)), ((1, 2), (9, 4)),
+         ((0, 1), (2, 3)), ((-10, 2), (3, 4))],
     )
     def test_rejects_bad_shape_or_labels(self, columns):
         with pytest.raises(ValueError):
@@ -457,12 +423,6 @@ class TestMinusSignShape:
         T = path_tableau(path)
         assert T.columns == ((1, 3, 5), (2, 4, 7), (6,))
         assert T.completed_columns() == ((1, 3, 5), (2, 4, 7), (6, 8, 9))
-
-    def test_completed_columns_match_the_reference(self):
-        for frame in fuss_frames(14, sign=-1):
-            for path in frame_paths(frame.m, frame.n):
-                T = path_tableau(path)
-                assert T.completed_columns() == reference_columns(path), (frame, path.steps)
 
     def test_minus_walk(self):
         path = parse_path(make_frame(2, 3), "NNENE")

@@ -5,7 +5,6 @@ import pytest
 from sweepkit import (
     QTPolynomial,
     catalan_qt,
-    catalan_qt_via_bounce,
     catalan_step,
     make_frame,
     path_count,
@@ -34,7 +33,7 @@ class TestPolynomialType:
             QTPolynomial({(0, 0): -1})
 
     def test_add_mul(self):
-        # Partial polynomials of a split frame are added; nothing multiplies them.
+        # Polynomials add; nothing multiplies them.
         q = QTPolynomial({(1, 0): 1})
         t = QTPolynomial({(0, 1): 1})
         assert (q + t) + (q + q) == QTPolynomial({(1, 0): 3, (0, 1): 1})
@@ -67,23 +66,9 @@ class TestCatalan:
         expected = QTPolynomial({(3, 0): 1, (2, 1): 1, (1, 2): 1, (0, 3): 1, (1, 1): 1})
         assert catalan_qt(1, 3) == expected
 
-    def test_three_routes_agree(self):
-        for k in (1, 2, 3):
-            for n in (1, 2, 3, 4):
-                direct = catalan_qt(k, n)
-                assert catalan_qt_via_bounce(k, n) == direct
-                if n >= 2:
-                    assert catalan_step(k, n) == direct
-
     def test_step_needs_two_columns(self):
         with pytest.raises(ValueError):
             catalan_step(2, 1)
-
-    def test_specialization_counts(self):
-        for k in (1, 2, 3):
-            for n in (1, 2, 3, 4):
-                frame = make_frame(k * n + 1, n)
-                assert catalan_qt(k, n).evaluate(1, 1) == path_count(frame)
 
     def test_degree_bound(self):
         for k in (1, 2, 3):
@@ -92,13 +77,3 @@ class TestCatalan:
                 bound = k * n * (n - 1) // 2
                 assert poly.max_q_degree() == bound
                 assert poly.max_t_degree() == bound
-
-    def test_partitioned_stream_merges(self):
-        from sweepkit import enumerate_paths
-
-        frame = make_frame(7, 3)
-        parts = [
-            catalan_qt(2, 3, enumerate_paths(frame, prefix=prefix))
-            for prefix in ("NN", "NE")
-        ]
-        assert parts[0] + parts[1] == catalan_qt(2, 3)

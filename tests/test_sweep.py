@@ -81,12 +81,19 @@ class TestWords:
 
     def test_rank_identities(self):
         # i-th North end rank = i-th South start rank + m, and the East
-        # analogue with -n, on every path of every small frame.
+        # analogue with -n, on every path of every small frame; and the
+        # exact words: the letters sorted by start rank (sweep, sw_word) or
+        # by end rank (en_word).
         for frame in coprime_frames(11):
             m, n = frame.m, frame.n
             for path in frame_paths(m, n):
                 starts = ranks(path)
                 ends = [r + (m if ch == "N" else -n) for r, ch in zip(starts, path.steps)]
+                by_start = "".join(ch for _, ch in sorted(zip(starts, path.steps)))
+                by_end = "".join(ch for _, ch in sorted(zip(ends, path.steps)))
+                assert sweep(path).steps == by_start
+                assert sw_word(path).letters == steps_to_sw(by_start)
+                assert en_word(path).letters == by_end
                 s_ranks = sorted(r for r, ch in zip(starts, path.steps) if ch == "N")
                 n_ranks = sorted(r for r, ch in zip(ends, path.steps) if ch == "N")
                 w_ranks = sorted(r for r, ch in zip(starts, path.steps) if ch == "E")
