@@ -10,8 +10,9 @@ tableau_rank_labels(T), T.validate() and FussTableau.from_json, and for
 sign +1 also red(T) and fiber_by_cutting(red(T)).  Every input is built outside the timer, and each
 timed call gets a tableau fresh from ``path_tableau`` (or ``red`` of one),
 so nothing an earlier call stored on it is reused.  A row reports the best of
-``--reps`` calls.  ``--src`` imports sweepkit from another checkout, so one
-script times two commits alike.
+``--reps`` calls, and ``per_invert_fuss``, that best over the best of the
+``invert_fuss`` row (timed first, printed in its place).  ``--src`` imports
+sweepkit from another checkout, so one script times two commits alike.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ def main() -> None:
     if args.sign > 0:
         layers["red"] = (lambda: sk.path_tableau(path), sk.red)
         layers["fiber_by_cutting"] = (lambda: sk.red(sk.path_tableau(path)), sk.fiber_by_cutting)
-    for layer, (make_input, call) in layers.items():
+
+    def best_of(make_input, call) -> float:
         best = float("inf")
         for _ in range(args.reps):
             arg = make_input()
@@ -70,8 +72,14 @@ def main() -> None:
             out = call(arg)
             best = min(best, perf_counter() - t0)
             del arg, out
+        return best
+
+    invert_best = best_of(*layers["invert_fuss"])
+    for layer, timed in layers.items():
+        best = invert_best if layer == "invert_fuss" else best_of(*timed)
         row = {"layer": layer, "k": args.k, "sign": args.sign, "n": args.n,
-               "steps": frame.size, "best_s": round(best, 4), "reps": args.reps}
+               "steps": frame.size, "best_s": round(best, 4),
+               "per_invert_fuss": round(best / invert_best, 3), "reps": args.reps}
         print(json.dumps(row), flush=True)
 
 

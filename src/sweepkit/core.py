@@ -259,10 +259,12 @@ def rank_complement(path: DyckPath) -> DyckPath:
     """Cut at the highest-rank vertex as A|B and rotate BA by 180 degrees.
 
     An involution on the frame's paths that preserves dinv; built unchecked.
+    One rank walk, kept, then two C-level scans of it.
     """
-    m, n, steps = path.frame.m, path.frame.n, path.steps
-    rotated = _rotation_at(m, n, steps, max(_prefix_ranks(m, n, steps)))[::-1]
-    return _unchecked(DyckPath, frame=path.frame, steps=rotated)
+    steps = path.steps
+    rs = tuple(_prefix_ranks(path.frame.m, path.frame.n, steps))
+    i = rs.index(max(rs))
+    return _unchecked(DyckPath, frame=path.frame, steps=(steps[i:] + steps[:i])[::-1])
 
 
 def enumerate_paths(frame: Frame) -> Iterator[DyckPath]:

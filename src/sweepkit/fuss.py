@@ -14,9 +14,11 @@ two virtual labels m+n and m+n+1, with the walk redirections mirrored
 The active feet form a FIFO queue, so columns grow, and finish, in the
 order they were started: the i-th W of a column always comes before the
 i-th W of every column started after it.  Hence the j-th top and the j-th
-foot share a column, and row d of the tableau is the labels of depth d in
-increasing order.  ``_fill`` therefore tracks only each label's depth, never a
-per-column list, and one fill serves both the inversion and the tableau.
+foot share a column.  ``_fill`` therefore keeps no per-column list, only the
+label above each label: following it k times up from the feet reads every
+column off at once, and one fill serves both the inversion and the tableau.
+A tableau is validated by one such fill of its first-row word, after the
+rule that its (k, sign) be its frame's own Fuss classification.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from functools import cached_property, partial
 from itertools import chain, zip_longest
 from operator import countOf, is_not
 
-from .core import DyckPath, Frame, _prefix_ranks, _unchecked, make_frame
+from .core import DyckPath, Frame, Fuss, _prefix_ranks, _unchecked, make_frame
 from .errors import NotFuss, NotSingleCycle, RowConstraintViolated, SweepkitError
-from .sweep import SWWord, ENWord, S_STEP, W_STEP
+from .sweep import SWWord, ENWord, steps_to_sw
 
 
 def _transpose(lines) -> tuple[tuple[int, ...], ...]:
@@ -124,21 +126,27 @@ class FussTableau:
     def validate(self) -> None:
         """Check that the tableau is the column filling of some path.
 
-        The shape is checked at construction.  The rest is a round trip
-        through the bijection of paths onto tableaux: reading S at the
-        first-row labels (each in 1 .. m+n, as they index the word) and W
-        elsewhere must give a valid path word whose column filling, which
-        holds exactly 1 .. m+n-1, is this tableau again.  Linear passes;
-        raises ValueError on violation.  The round trip never reads the cached walk.
+        The shape is checked at construction.  (k, sign) must be the Fuss
+        classification of the frame (kn + sign, n): for n <= 2 a sign -1
+        frame classifies as sign +1 with k - 1, and a tableau of the same
+        shape would then encode a path of that other classification.  The
+        rest is one fill: N at the first-row labels (each in 1 .. m+n, as
+        they index the word) and E elsewhere must spell a path of the frame
+        whose completed columns, read by following ``up`` from the feet, are
+        this tableau's.  Linear; raises ValueError on violation.  Never reads
+        the cached walk; the round trip through a second tableau is kept as
+        ``oracle.oracle_validate``.
         """
-        top, size = self.first_row(), self.size
-        if min(top) < 1 or max(top) > size:
-            raise ValueError(f"first-row labels must lie in 1 .. m+n = {size}")
+        k, sign, frame = self.k, self.sign, self.frame()
+        if frame.fuss != Fuss(k, sign):
+            raise ValueError(f"k = {k}, sign {sign:+d} is not the Fuss classification "
+                             f"of the ({frame.m}, {frame.n}) frame")
+        steps = _first_row_word(self.size, self.first_row())
         try:
-            refilled = fill_tableau(_first_row_sw(self.frame(), top))
+            DyckPath(frame, steps)
         except SweepkitError as exc:
             raise ValueError(f"tableau encodes no path: {exc}") from exc
-        if refilled.columns != self.columns:
+        if _filled_columns(steps, k, sign) != self.completed_columns():
             raise ValueError("tableau is not the column filling of its first row")
 
     def to_json(self) -> str:
@@ -211,16 +219,17 @@ def _fuss_params(frame: Frame) -> tuple[int, int]:
     return frame.fuss.k, frame.fuss.sign
 
 
-def _fill(steps: str, k: int, sign: int) -> tuple[list[int], list[int], list[int], list[int]]:
+def _fill(steps: str, k: int, sign: int) -> tuple[list[int], list[int], list[int]]:
     """Column filling of a valid Fuss path word, by label; O(m+n).
 
     Label i takes letter i of the step word: N starts a new column, E goes
     below the foot at the head of the FIFO queue of active feet.  Sign -1
     continues with two virtual E's (labels m+n, m+n+1) to complete the
-    rectangle.  Returns ``(up, depth, tops, feet)`` over the completed grid:
-    ``up[label]`` is the label above it (0 in row 1), ``depth[label]`` its row,
-    and ``tops``/``feet`` the first and last labels of the columns, both
-    increasing, so the j-th top and the j-th foot share a column.
+    rectangle.  Returns ``(up, tops, feet)`` over the completed grid:
+    ``up[label]`` is the label above it (0 in row 1), and ``tops``/``feet``
+    the first and last labels of the columns, both increasing, so the j-th
+    top and the j-th foot share a column.  A label's row, ``depth``, is
+    needed only to tell when its column is full.
 
     Every caller passes a path word, so no E finds the queue empty: after a
     N's it empties only once all a*k cells below their tops are filled, and
@@ -258,22 +267,28 @@ def _fill(steps: str, k: int, sign: int) -> tuple[list[int], list[int], list[int
                 push(label)
             else:
                 foot(label)
-    return up, depth, tops, feet
+    return up, tops, feet
+
+
+def _filled_columns(steps: str, k: int, sign: int) -> tuple[tuple[int, ...], ...]:
+    """Completed columns of a valid Fuss path word: one fill, then each foot
+    followed up k times, one C-level pass over the n columns per row."""
+    up, _, feet = _fill(steps, k, sign)
+    rows = [feet]
+    for _ in range(k):
+        rows.append(list(map(up.__getitem__, rows[-1])))
+    return tuple(zip(*reversed(rows)))
 
 
 def _tableau(frame: Frame, steps: str) -> FussTableau:
-    """Tableau of a valid step word of a Fuss frame: row d holds the depth-d labels."""
+    """Tableau of a valid step word of a Fuss frame, from its completed columns."""
     k, sign = _fuss_params(frame)
-    depth = _fill(steps, k, sign)[1]
-    rows: list[list[int]] = [[] for _ in range(k + 1)]
-    for label in range(1, len(depth) - 1):
-        rows[depth[label] - 1].append(label)
-    columns = list(zip(*rows))
+    columns = _filled_columns(steps, k, sign)
     if sign < 0:
         # The virtual labels m+n, m+n+1 end the last one or two columns.
         size = frame.size
-        columns[-2:] = [tuple(e for e in c if e < size) for c in columns[-2:]]
-    return FussTableau(k=k, n=frame.n, sign=sign, columns=tuple(columns))
+        columns = columns[:-2] + tuple(tuple(e for e in c if e < size) for c in columns[-2:])
+    return FussTableau(k=k, n=frame.n, sign=sign, columns=columns)
 
 
 def fill_tableau(sw: SWWord) -> FussTableau:
@@ -286,12 +301,25 @@ def path_tableau(path: DyckPath) -> FussTableau:
     return _tableau(path.frame, path.steps)
 
 
+def _check_labels(labels, lo: int, hi: int, row: str) -> None:
+    """ValueError naming the first label outside lo .. hi, before it indexes a word."""
+    if min(labels) < lo or max(labels) > hi:
+        bad = next(e for e in labels if not lo <= e <= hi)
+        raise ValueError(f"{row} label {bad} lies outside {lo} .. {hi}")
+
+
+def _first_row_word(size: int, first_row) -> str:
+    """N at the first-row labels, E elsewhere, in a word of the given size."""
+    _check_labels(first_row, 1, size, "first-row")
+    letters = bytearray(b"E") * size
+    for t in first_row:
+        letters[t - 1] = 78  # ord("N")
+    return letters.decode("ascii")
+
+
 def _first_row_sw(frame: Frame, first_row) -> SWWord:
     """S at the first-row labels, W elsewhere."""
-    letters = [W_STEP] * frame.size
-    for t in first_row:
-        letters[t - 1] = S_STEP
-    return SWWord(frame, "".join(letters))
+    return SWWord(frame, steps_to_sw(_first_row_word(frame.size, first_row)))
 
 
 def tableau_to_sw(T: FussTableau) -> SWWord:
@@ -306,10 +334,13 @@ def bold_set(T: FussTableau) -> frozenset[int]:
 
 def en_from_tableau(T: FussTableau) -> ENWord:
     """EN rank-order word of the encoded preimage: N at foot +- 1."""
-    letters = ["E"] * T.size
-    for b in T.bottom_row():
-        letters[b + T.sign - 1] = "N"
-    return ENWord(T.frame(), "".join(letters))
+    sign, size, feet = T.sign, T.size, T.bottom_row()
+    # A foot sits below a top, and the completed grid ends at m+n-1 (+1) or m+n+1 (-1).
+    _check_labels(feet, 2, size - sign, "bottom-row")
+    letters = bytearray(b"E") * size
+    for b in feet:
+        letters[b + sign - 1] = 78  # ord("N")
+    return ENWord(T.frame(), letters.decode("ascii"))
 
 
 def _turns(up: list[int], tops, feet, size: int, sign: int) -> bytearray:
@@ -397,9 +428,9 @@ def invert_fuss(path: DyckPath) -> DyckPath:
     by the paper's theorem, so the preimage is built unchecked.
     """
     k, sign = _fuss_params(path.frame)
-    up, depth, tops, feet = _fill(path.steps, k, sign)
+    up, tops, feet = _fill(path.steps, k, sign)
     bold = _turns(up, tops, feet, path.frame.size, sign)
-    del depth, tops, feet  # freed before the walk fills ``order``: the peak stays the fill's
+    del tops, feet  # freed before the walk fills ``order``: the peak stays the fill's
     return _unchecked(DyckPath, frame=path.frame, steps=_cycle(up, bold, len(path.steps), sign)[0])
 
 

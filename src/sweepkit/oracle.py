@@ -7,26 +7,32 @@ inversion, no rank-sort dinv.  ``_fill_columns`` is the per-column list
 filling that the label-indexed ``fuss._fill`` replaced, ``_walk_order`` the
 walk over arbitrary columns that ``fuss._cycle`` replaced,
 ``oracle_bipartite_invert`` the position-list walk that
-``sweep.bipartite_invert`` replaced, and ``oracle_fiber_by_cutting`` the
-lift-and-sweep per cut that ``reduction.fiber_by_cutting`` replaced; all are
-kept as references.
+``sweep.bipartite_invert`` replaced, ``oracle_fiber_by_cutting`` the
+lift-and-sweep per cut that ``reduction.fiber_by_cutting`` replaced,
+``oracle_validate`` the round trip through a second tableau that
+``FussTableau.validate`` replaced, and ``oracle_red`` the bisection per entry
+that ``reduction.red`` replaced; all are kept as references.
 ``oracle_invert_sweep`` is the package's only brute-force sweep inversion.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from functools import lru_cache
 from typing import Iterator
 
-from .core import EAST, NORTH, DyckPath, Frame, RankSequence, enumerate_paths, make_frame, ranks
+from .core import (EAST, NORTH, DyckPath, Frame, Fuss, RankSequence, enumerate_paths,
+                   make_frame, ranks)
 from .errors import (
     FrameTooLarge,
     InconsistentPair,
     NotSingleCycle,
     PrematureStall,
     SearchExhausted,
+    SweepkitError,
+    TooNarrow,
 )
 from .fuss import FussTableau, path_tableau
 from .qtcatalan import path_count
@@ -228,18 +234,50 @@ def _walk_order(columns: tuple[tuple[int, ...], ...], sign: int) -> list[int]:
     return order
 
 
+def oracle_validate(T: FussTableau) -> None:
+    """``FussTableau.validate`` as the round trip it replaced: (k, sign) must be
+    the frame's Fuss classification, S at the first-row labels and W elsewhere
+    must be an SW word of the frame, and its per-column list filling
+    (``_fill_columns``, not the fill kernel) must be the tableau again.
+    Raises ValueError on violation, as ``validate`` does.
+    """
+    frame = T.frame()
+    if frame.fuss != Fuss(T.k, T.sign):
+        raise ValueError("(k, sign) is not the Fuss classification of the frame")
+    tops = set(T.first_row())
+    letters = "".join(S_STEP if label in tops else W_STEP for label in range(1, frame.size + 1))
+    try:
+        columns = tuple(map(tuple, _fill_columns(SWWord(frame, letters).letters, T.k)))
+    except SweepkitError as exc:
+        raise ValueError(f"tableau encodes no path: {exc}") from exc
+    if columns != T.columns:
+        raise ValueError("tableau is not the column filling of its first row")
+
+
+def oracle_red(T: FussTableau) -> FussTableau:
+    """``reduction.red`` by one bisection per entry: each entry of columns
+    2 .. n drops by the number of column-1 entries below it.  The loop that
+    the shift table of ``red`` replaced, kept as its reference."""
+    from .reduction import _require_plus
+
+    _require_plus(T, "oracle_red")
+    if T.n < 2:
+        raise TooNarrow("cannot remove the only column")
+    col1 = T.columns[0]
+    columns = tuple(tuple(e - bisect_left(col1, e) for e in col) for col in T.columns[1:])
+    return FussTableau(k=T.k, n=T.n - 1, sign=+1, columns=columns)
+
+
 def oracle_fiber(T_reduced: FussTableau) -> list[DyckPath]:
     """All paths one frame up whose reduced tableau equals T_reduced.
 
     Refuses, with FrameTooLarge, a frame one up of more than
-    BRUTE_PATH_LIMIT paths, before enumerating it.
+    BRUTE_PATH_LIMIT paths, before enumerating it.  Reduces by ``oracle_red``.
     """
-    from .reduction import red
-
     k, n = T_reduced.k, T_reduced.n + 1
     frame = make_frame(k * n + 1, n)
     _refuse_large(frame)
-    return [D for D in enumerate_paths(frame) if red(path_tableau(D)) == T_reduced]
+    return [D for D in enumerate_paths(frame) if oracle_red(path_tableau(D)) == T_reduced]
 
 
 def oracle_fiber_by_cutting(T_reduced: FussTableau) -> list[DyckPath]:

@@ -10,8 +10,9 @@ of a tableau read off area and coarea of its path directly.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from itertools import pairwise
+from bisect import bisect_right
+from itertools import chain, pairwise
+from operator import lt
 
 from .core import (
     EAST,
@@ -28,7 +29,7 @@ from .core import (
 )
 from .errors import NotFuss, RankNotPresent, RankTooLarge, TooNarrow
 # psi lives in fuss and stays importable from here.
-from .fuss import FussTableau, invert_fuss, psi, tableau_from_bottom_row
+from .fuss import FussTableau, _check_labels, invert_fuss, psi, tableau_from_bottom_row
 from .sweep import sweep
 
 
@@ -38,15 +39,29 @@ def _require_plus(T: FussTableau, op: str) -> None:
 
 
 def red(T: FussTableau) -> FussTableau:
-    """Remove column 1 and renumber the remaining entries contiguously."""
+    """Remove column 1 and renumber the remaining entries contiguously.
+
+    An entry drops by the number of column-1 entries below it, a shift that
+    is constant between consecutive column-1 entries.  So one table of the
+    labels 0 .. (k+1)n, built a segment of ``range`` at a time, renumbers
+    every other entry in one flat pass, regrouped k+1 at a time into columns.
+    ValueError if an entry lies outside 1 .. (k+1)n or column 1 does not
+    increase.  The bisection per entry it replaced is ``oracle.oracle_red``.
+    """
     _require_plus(T, "red")
     if T.n < 2:
         raise TooNarrow("cannot remove the only column")
+    total = T.size - 1
     col1 = T.columns[0]
-    new_columns = tuple(
-        tuple(e - bisect_left(col1, e) for e in col) for col in T.columns[1:]
-    )
-    return FussTableau(k=T.k, n=T.n - 1, sign=+1, columns=new_columns)
+    entries = list(chain.from_iterable(T.columns))
+    _check_labels(entries, 1, total, "tableau")
+    if not all(map(lt, col1, col1[1:])):
+        raise ValueError(f"column 1 {col1} does not increase")
+    bounds = (0, *col1, total + 1)
+    renumber = list(chain.from_iterable(
+        range(a - i, b - i) for i, (a, b) in enumerate(pairwise(bounds))))
+    flat = map(renumber.__getitem__, entries[len(col1):])
+    return FussTableau(k=T.k, n=T.n - 1, sign=+1, columns=tuple(zip(*[flat] * len(col1))))
 
 
 def fiber_count(T_reduced: FussTableau) -> int:

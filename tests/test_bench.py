@@ -61,3 +61,6 @@ def test_tableau_layers_script_runs(sign):
         *reduction,
     ]
     assert all(row["sign"] == int(sign) and row["n"] == 50 for row in rows)
+    # Each layer's best over invert_fuss's best, so the ROADMAP ratios read straight off.
+    assert all(row["per_invert_fuss"] >= 0 for row in rows)
+    assert next(row for row in rows if row["layer"] == "invert_fuss")["per_invert_fuss"] == 1

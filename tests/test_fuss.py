@@ -34,7 +34,8 @@ from sweepkit import (
     tableau_to_sw,
     walk,
 )
-from sweepkit.oracle import _walk_order
+from sweepkit.core import Fuss
+from sweepkit.oracle import _walk_order, oracle_validate
 from sweepkit.suites import fuss_inversion, reference_columns, tableau_walk
 from helpers import (
     K3N4_PREIMAGE_SW,
@@ -88,6 +89,13 @@ class TestTableauToSw:
         T = fill_tableau(SWWord(make_frame(4, 1), "SWWWW"))
         assert tableau_to_sw(T).letters == "SWWWW"
 
+    @pytest.mark.parametrize("columns, label", [(((1, 2), (9, 4)), 9), (((1, 2), (0, 4)), 0),
+                                                (((-3, 2), (3, 4)), -3)])
+    def test_names_a_first_row_label_outside_the_word(self, columns, label):
+        T = FussTableau(k=1, n=2, sign=1, columns=columns)
+        with pytest.raises(ValueError, match=f"first-row label {label} "):
+            tableau_to_sw(T)
+
 
 class TestEnExtraction:
     def test_k4n3_positions(self):
@@ -98,6 +106,15 @@ class TestEnExtraction:
     def test_single_column_last_position(self):
         T = fill_tableau(SWWord(make_frame(4, 1), "SWWWW"))
         assert en_from_tableau(T).letters == "EEEEN"
+
+    @pytest.mark.parametrize("sign, columns, label", [
+        (1, ((1, 2), (3, 9)), 9), (1, ((1, 2), (3, 0)), 0), (1, ((1, -4), (3, 4)), -4),
+        (-1, ((1, 1), (3,), (4,)), 1), (-1, ((1, 7), (3,), (4,)), 7)])
+    def test_names_a_bottom_row_label_outside_the_word(self, sign, columns, label):
+        # Sign -1 completes the feet with 5 and 6 and puts each N at foot - 1.
+        T = FussTableau(k=1, n=2 if sign > 0 else 3, sign=sign, columns=columns)
+        with pytest.raises(ValueError, match=f"bottom-row label {label} "):
+            en_from_tableau(T)
 
     def test_matches_en_word_of_preimage(self):
         # Building from sw_word(D) must yield en_word(D), both signs.
@@ -308,7 +325,9 @@ class TestValidate:
                 if k * n + sign < 1:
                     continue
                 frame = make_frame(k * n + sign, n)
-                images = {path_tableau(D).columns for D in enumerate_paths(frame)}
+                # For n <= 2 a sign -1 frame may classify as (k - 1, +1): no (k, -1) images.
+                images = {path_tableau(D).columns for D in enumerate_paths(frame)
+                          if frame.fuss == Fuss(k, sign)}
                 accepted = set()
                 for columns in increasing_fillings(k, n, sign):
                     try:
@@ -317,6 +336,37 @@ class TestValidate:
                         continue
                     accepted.add(columns)
                 assert accepted == images, (k, n, sign)
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_agrees_with_the_round_trip_oracle(self, sign):
+        def accepts(check, T):
+            try:
+                check(T)
+            except ValueError:
+                return False
+            return True
+
+        for k in (1, 2, 3):
+            for n in (1, 2, 3, 4):
+                if k * n + sign < 1:
+                    continue
+                for columns in increasing_fillings(k, n, sign):
+                    try:
+                        T = FussTableau(k=k, n=n, sign=sign, columns=columns)
+                    except ValueError:
+                        continue
+                    assert accepts(FussTableau.validate, T) == accepts(oracle_validate, T), T
+
+    def test_rejects_a_sign_the_frame_does_not_classify(self):
+        # (3, 2) classifies as k = 1, sign +1.  Read as k = 2, sign -1 these rows
+        # walk to NENEE, but they are the filling of the path NENEE, whose preimage is NNEEE.
+        text = '{"k": 2, "n": 2, "sign": -1, "rows": [[1, 3], [2, 4]]}'
+        with pytest.raises(ValueError, match="classification"):
+            FussTableau.from_json(text)
+        with pytest.raises(ValueError, match="classification"):
+            oracle_validate(FussTableau(k=2, n=2, sign=-1, columns=((1, 2), (3, 4))))
+        assert invert_fuss(parse_path(make_frame(3, 2), "NENEE")).steps == "NNEEE"
+        FussTableau.from_json('{"k": 1, "n": 2, "sign": 1, "rows": [[1, 3], [2, 4]]}')
 
     def test_rejects_minus_filling_of_no_path(self):
         # Rows [[1, 3, 4], [2]] satisfy the strip conditions but encode no path.

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from sweepkit import (
+    FussTableau,
     NotFuss,
     RankNotPresent,
     RankTooLarge,
@@ -31,7 +32,7 @@ from sweepkit import (
     tableau_to_sw,
 )
 from sweepkit.bench import random_path
-from sweepkit.oracle import oracle_fiber, oracle_fiber_by_cutting
+from sweepkit.oracle import enumerate_tableaux, oracle_fiber, oracle_fiber_by_cutting, oracle_red
 from helpers import (
     BIG_FIRST_ROW,
     BIG_PSI_OF_REDUCED_ROWS,
@@ -68,6 +69,19 @@ class TestRed:
         for path in frame_paths(5, 2):
             T = red(path_tableau(path))
             assert T.columns == ((1, 2, 3),)
+
+    def test_agrees_with_the_bisection_oracle(self):
+        # Every valid sign +1 tableau of criterion 4's frames, m+n <= 18.
+        for frame in fuss_frames(18, sign=+1):
+            if frame.n < 2:
+                continue
+            for T in enumerate_tableaux(frame.fuss.k, frame.n):
+                assert red(T) == oracle_red(T), T
+
+    @pytest.mark.parametrize("columns", [((1, 2), (3, 9)), ((1, 2), (0, 4)), ((3, 1), (2, 4))])
+    def test_rejects_labels_it_cannot_renumber(self, columns):
+        with pytest.raises(ValueError):
+            red(FussTableau(k=1, n=2, sign=1, columns=columns))
 
     def test_too_narrow(self):
         T = path_tableau(parse_path(make_frame(4, 1), "NEEEE"))
