@@ -1,4 +1,4 @@
-"""Timing harness for the linear-time inversion.
+"""Timing harness: the layers of ``LAYERS`` on uniform random Fuss paths.
 
 Random paths are drawn uniformly by the cycle lemma: shuffle n North steps
 into m+n positions, then take the unique cyclic rotation that stays above
@@ -8,10 +8,15 @@ the diagonal (start at the vertex of minimum prefix rank).
 from __future__ import annotations
 
 import random
-import time
+import sys
+from functools import partial
+from time import perf_counter
 
-from .core import DyckPath, Frame, _lowest_rank_rotation, _unchecked, make_frame
-from .fuss import invert_fuss
+from .core import (DyckPath, Frame, _lowest_rank_rotation, _unchecked, area, dinv,
+                   rank_complement, rank_sequence)
+from .fuss import FussTableau, _fuss_frame, invert_fuss, path_tableau, tableau_rank_labels, walk
+from .reduction import fiber_by_cutting, red
+from .sweep import bipartite_invert, en_word, sw_word, sweep
 
 
 def random_path(frame: Frame, rng: random.Random) -> DyckPath:
@@ -23,38 +28,52 @@ def random_path(frame: Frame, rng: random.Random) -> DyckPath:
     return _unchecked(DyckPath, frame=frame, steps=_lowest_rank_rotation(m, n, word.decode()))
 
 
-def time_inversions(k: int, sizes: list[int], reps: int, seed: int) -> list[dict]:
-    """Mean wall time of one inversion per frame height, one row per size."""
+# Layer -> (path -> timed call); inputs are built outside the timer, tableaux fresh each call.
+LAYERS = {  # invert_fuss, the yardstick, first; the last two are sign +1 only
+    "invert_fuss": lambda p: partial(invert_fuss, p),
+    "random_path": lambda p: partial(random_path, p.frame, random.Random(p.frame.m)),
+    "sweep": lambda p: partial(sweep, p),
+    "sw_word": lambda p: partial(sw_word, p),
+    "en_word": lambda p: partial(en_word, p),
+    "rank_sequence": lambda p: partial(rank_sequence, p),
+    "rank_complement": lambda p: partial(rank_complement, p),
+    "area": lambda p: partial(area, p),
+    "dinv": lambda p: partial(dinv, p),
+    "bipartite_invert": lambda p: partial(bipartite_invert, sw_word(p), en_word(p)),
+    "path_tableau": lambda p: partial(path_tableau, p),
+    "walk": lambda p: partial(walk, path_tableau(p)),
+    "tableau_rank_labels": lambda p: partial(tableau_rank_labels, path_tableau(p)),
+    "validate": lambda p: path_tableau(p).validate,
+    "from_json": lambda p: partial(FussTableau.from_json, path_tableau(p).to_json()),
+    "red": lambda p: partial(red, path_tableau(p)),
+    "fiber_by_cutting": lambda p: partial(fiber_by_cutting, red(path_tableau(p))),
+}
+
+
+def time_layers(k: int, sign: int, sizes, reps: int, seed: int, layers=("invert_fuss",)) -> list:
+    """Rows {layer, k, sign, n, steps, best_s, mean_s, per_invert_fuss, reps, python} per size
+    in LAYERS order, invert_fuss always (timed first; per_invert_fuss is a best over its best).
+    ("all",) is every layer the sign admits.  Size n draws a path per rep from random.Random(
+    f"{seed}:{k}:{n}"), the reps round-robin over the sizes so a slow spell hits all of them."""
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
-    rows = []
-    for n in sizes:
-        frame = make_frame(k * n + 1, n)
-        rng = random.Random(f"{seed}:{k}:{n}")
-        total_ns = 0
-        for _ in range(reps):
+    admitted = list(LAYERS)[:None if sign > 0 else -2]
+    layers = {"invert_fuss", *(admitted if tuple(layers) == ("all",) else layers)}
+    if unknown := layers.difference(admitted):
+        raise ValueError(f"no layer {sorted(unknown)} for sign {sign:+d}; only all or {admitted}")
+    drawn = [(_fuss_frame(k, n, sign), random.Random(f"{seed}:{k}:{n}")) for n in sizes]
+    times = [{name: [] for name in admitted if name in layers} for _ in sizes]
+    for _ in range(reps):
+        for (frame, rng), by_layer in zip(drawn, times):
             path = random_path(frame, rng)
-            t0 = time.perf_counter_ns()
-            invert_fuss(path)
-            t1 = time.perf_counter_ns()
-            total_ns += t1 - t0
-        rows.append(
-            {
-                "k": k,
-                "n": n,
-                "m": frame.m,
-                "steps": frame.size,
-                "mean_ns": total_ns // reps,
-                "reps": reps,
-            }
-        )
-    return rows
-
-
-def rows_to_csv(rows: list[dict]) -> str:
-    lines = ["k,n,m,steps,mean_ns,reps"]
-    for row in rows:
-        lines.append(
-            f"{row['k']},{row['n']},{row['m']},{row['steps']},{row['mean_ns']},{row['reps']}"
-        )
-    return "\n".join(lines)
+            for name, seconds in by_layer.items():
+                call = LAYERS[name](path)
+                t0 = perf_counter()
+                out = call()
+                seconds.append(perf_counter() - t0)
+                del call, out  # freed outside the timer
+    return [{"layer": name, "k": k, "sign": sign, "n": frame.n, "steps": frame.size,
+             "best_s": min(seconds), "mean_s": sum(seconds) / reps,
+             "per_invert_fuss": min(seconds) / min(by_layer["invert_fuss"]), "reps": reps,
+             "python": "%d.%d.%d" % sys.version_info[:3]}
+            for (frame, _), by_layer in zip(drawn, times) for name, seconds in by_layer.items()]

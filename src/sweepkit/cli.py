@@ -166,11 +166,11 @@ def cmd_render(args) -> int:
 def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     seed = int(os.environ.get("SWEEPKIT_SEED", args.seed))
-    rows = bench_mod.time_inversions(args.k, sizes, args.reps, seed)
-    print(bench_mod.rows_to_csv(rows))
-    # Growth between consecutive sizes goes to stderr; stdout stays CSV.
-    for small, big in zip(rows, rows[1:]):
-        print(f"# n={big['n']}: time x{big['mean_ns'] / small['mean_ns']:.2f} "
+    rows = bench_mod.time_layers(args.k, args.sign, sizes, args.reps, seed, args.layers.split(","))
+    print(*map(json.dumps, rows), sep="\n")
+    # Growth per layer and size step goes to stderr; the rows run size by size.
+    for small, big in zip(rows, rows[len(rows) // max(len(sizes), 1):]):
+        print(f"# {big['layer']} n={big['n']}: time x{big['mean_s'] / small['mean_s']:.2f} "
               f"for n x{big['n'] / small['n']:.2f}", file=sys.stderr)
     return 0
 
@@ -256,11 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", action=argparse.BooleanOptionalAction, default=True)
     p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("bench", help="time the linear inversion on random paths")
+    p = sub.add_parser("bench", help="time the inversion and the other layers on random paths")
     p.add_argument("--k", type=int, required=True)
+    p.add_argument("--sign", type=int, choices=[1, -1], default=1)
     p.add_argument("--sizes", required=True, help="comma-separated frame heights n")
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--layers", default="invert_fuss", help="comma-separated layers, or all")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify", help="run the exhaustive property suites")

@@ -137,10 +137,7 @@ class FussTableau:
         the cached walk; the round trip through a second tableau is kept as
         ``oracle.oracle_validate``.
         """
-        k, sign, frame = self.k, self.sign, self.frame()
-        if frame.fuss != Fuss(k, sign):
-            raise ValueError(f"k = {k}, sign {sign:+d} is not the Fuss classification "
-                             f"of the ({frame.m}, {frame.n}) frame")
+        k, sign, frame = self.k, self.sign, _fuss_frame(self.k, self.n, self.sign)
         steps = _first_row_word(self.size, self.first_row())
         try:
             DyckPath(frame, steps)
@@ -211,6 +208,14 @@ class WalkPermutation:
     """Visiting order of the labels 1 .. m+n; a single cycle starting at 1."""
 
     order: tuple[int, ...]
+
+
+def _fuss_frame(k: int, n: int, sign: int) -> Frame:
+    """The (kn + sign, n) frame; ValueError unless its Fuss classification is (k, sign)."""
+    frame = make_frame(k * n + sign, n)
+    if frame.fuss != Fuss(k, sign):
+        raise ValueError(f"k = {k}, sign {sign:+d} is not the Fuss classification of {frame}")
+    return frame
 
 
 def _fuss_params(frame: Frame) -> tuple[int, int]:
@@ -436,7 +441,9 @@ def invert_fuss(path: DyckPath) -> DyckPath:
 
 def tableau_from_first_row(k: int, n: int, t) -> FussTableau:
     """The unique sign +1 tableau with the given first row."""
-    t = tuple(int(x) for x in t)
+    frame, t = _fuss_frame(k, n, +1), tuple(t)
+    if set(map(type, t)) - {int}:
+        raise ValueError("first-row entries must be integers")
     if len(t) != n:
         raise ValueError(f"expected {n} first-row entries, got {len(t)}")
     for j, tj in enumerate(t, start=1):
@@ -445,16 +452,18 @@ def tableau_from_first_row(k: int, n: int, t) -> FussTableau:
             raise RowConstraintViolated(j)
         if j > 1 and tj <= t[j - 2]:
             raise RowConstraintViolated(j)
-    return fill_tableau(_first_row_sw(make_frame(k * n + 1, n), t))
+    return fill_tableau(_first_row_sw(frame, t))
 
 
 def tableau_from_bottom_row(k: int, n: int, b) -> FussTableau:
     """The unique sign +1 tableau with the given bottom row.
 
     Built through the half-turn involution: the mirror's first row is the
-    reversed complement of b, filled, then mirrored back.
+    reversed complement of b, filled (which checks k), then mirrored back.
     """
-    b = tuple(int(x) for x in b)
+    b = tuple(b)
+    if set(map(type, b)) - {int}:
+        raise ValueError("bottom-row entries must be integers")
     total = (k + 1) * n
     if len(b) != n:
         raise ValueError(f"expected {n} bottom-row entries, got {len(b)}")

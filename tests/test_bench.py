@@ -1,13 +1,12 @@
 import json
 import random
-import subprocess
-import sys
-from pathlib import Path
+from functools import partial
 
 import pytest
 
-from sweepkit import make_frame, parse_path, path_count
-from sweepkit.bench import random_path, rows_to_csv, time_inversions
+from sweepkit import bench, make_frame, parse_path, path_count
+from sweepkit.bench import random_path, time_layers
+from sweepkit.cli import main
 from helpers import coprime_frames, frame_paths
 
 
@@ -34,33 +33,40 @@ def test_random_path_covers_small_frame():
     assert path_count(frame) == 2
 
 
-def test_time_inversions_rows():
-    rows = time_inversions(k=1, sizes=[1, 16], reps=2, seed=0)
-    assert [row["n"] for row in rows] == [1, 16]
-    assert rows[0]["m"] == 2 and rows[0]["steps"] == 3
-    assert all(row["mean_ns"] >= 0 and row["reps"] == 2 for row in rows)
+def test_time_layers_rows():
+    rows = time_layers(k=1, sign=1, sizes=[1, 16], reps=2, seed=0)
+    assert [(row["layer"], row["n"], row["steps"]) for row in rows] == [
+        ("invert_fuss", 1, 3), ("invert_fuss", 16, 33)]
+    assert all(row["mean_s"] >= row["best_s"] > 0 and row["per_invert_fuss"] == 1
+               and row["reps"] == 2 for row in rows)
 
 
-def test_csv_format():
-    rows = [{"k": 2, "n": 10, "m": 21, "steps": 31, "mean_ns": 5, "reps": 3}]
-    assert rows_to_csv(rows) == "k,n,m,steps,mean_ns,reps\n2,10,21,31,5,3"
+def test_time_layers_times_the_seeded_paths(monkeypatch):
+    # Round-robin over the sizes, each size still draws its paths in turn from its own generator.
+    seen = []
+    monkeypatch.setitem(bench.LAYERS, "invert_fuss", lambda p: partial(seen.append, p))
+    time_layers(k=2, sign=1, sizes=[40, 80], reps=2, seed=5)
+    drawn = {}
+    for n in (40, 80):
+        rng = random.Random(f"5:2:{n}")
+        drawn[n] = [random_path(make_frame(2 * n + 1, n), rng) for _ in range(2)]
+    assert seen == [drawn[40][0], drawn[80][0], drawn[40][1], drawn[80][1]]
 
 
-@pytest.mark.parametrize("sign", ["1", "-1"])
-def test_tableau_layers_script_runs(sign):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "tableau_layers.py"
-    done = subprocess.run(
-        [sys.executable, str(script), "--n", "50", "--reps", "1", "--sign", sign],
-        capture_output=True, text=True, timeout=120, check=True,
-    )
-    rows = [json.loads(line) for line in done.stdout.splitlines()]
-    reduction = ["red", "fiber_by_cutting"] if sign == "1" else []
+@pytest.mark.parametrize("sign", [1, -1])
+def test_bench_all_layers(capsys, sign):
+    assert main(["bench", "--k", "2", "--sign", str(sign), "--layers", "all", "--sizes", "50",
+                 "--reps", "1"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    reduction = ["red", "fiber_by_cutting"] if sign > 0 else []
     assert [row["layer"] for row in rows] == [
-        "random_path", "sweep", "sw_word", "en_word", "rank_sequence", "rank_complement",
-        "area", "dinv", "bipartite_invert", "invert_fuss", "path_tableau", "walk", "tableau_rank_labels", "validate", "from_json",
-        *reduction,
+        "invert_fuss", "random_path", "sweep", "sw_word", "en_word", "rank_sequence",
+        "rank_complement", "area", "dinv", "bipartite_invert", "path_tableau", "walk",
+        "tableau_rank_labels", "validate", "from_json", *reduction,
     ]
-    assert all(row["sign"] == int(sign) and row["n"] == 50 for row in rows)
+    assert all(list(row) == ["layer", "k", "sign", "n", "steps", "best_s", "mean_s",
+                             "per_invert_fuss", "reps", "python"] for row in rows)
+    assert all((row["k"], row["sign"], row["n"], row["steps"], row["reps"])
+               == (2, sign, 50, 150 + sign, 1) and row["per_invert_fuss"] > 0 for row in rows)
     # Each layer's best over invert_fuss's best, so the ROADMAP ratios read straight off.
-    assert all(row["per_invert_fuss"] >= 0 for row in rows)
-    assert next(row for row in rows if row["layer"] == "invert_fuss")["per_invert_fuss"] == 1
+    assert rows[0]["per_invert_fuss"] == 1

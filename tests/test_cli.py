@@ -2,11 +2,14 @@ import contextlib
 import io
 import json
 import math
+import random
 import xml.etree.ElementTree as ET
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sweepkit.bench
 import sweepkit.suites
 from sweepkit import (
     BelowDiagonal,
@@ -241,25 +244,38 @@ class TestRender:
 
 
 class TestBench:
-    def test_csv_shape_and_determinism(self, capsys):
+    def test_row_shape_and_growth_line(self, capsys):
         args = ("bench", "--k", "2", "--sizes", "40,80", "--reps", "2", "--seed", "7")
         _, out1, err = run(capsys, *args)
-        lines = out1.strip().splitlines()
-        assert lines[0] == "k,n,m,steps,mean_ns,reps"
-        assert len(lines) == 3
-        k, n, m, steps, _, reps = lines[1].split(",")
-        assert (k, n, m, steps, reps) == ("2", "40", "81", "121", "2")
-        assert err.startswith("# n=80: time x") and err.endswith(" for n x2.00\n")
+        rows = [json.loads(line) for line in out1.splitlines()]
+        assert [(r["layer"], r["k"], r["sign"], r["n"], r["steps"], r["reps"]) for r in rows] == [
+            ("invert_fuss", 2, 1, 40, 121, 2), ("invert_fuss", 2, 1, 80, 241, 2)]
+        assert err.startswith("# invert_fuss n=80: time x") and err.endswith(" for n x2.00\n")
 
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("SWEEPKIT_SEED", "123")
+        seen = []
+        monkeypatch.setitem(sweepkit.bench.LAYERS, "invert_fuss", lambda p: partial(seen.append, p))
         code, out, _ = run(capsys, "bench", "--k", "1", "--sizes", "30", "--reps", "1",
                            "--seed", "999")
         assert code == 0
-        assert out.splitlines()[1].startswith("1,30,31,61,")
+        assert json.loads(out)["steps"] == 61
+        assert seen == [random_path(make_frame(31, 30), random.Random("123:1:30"))]
 
     def test_zero_reps_exit_2(self, capsys):
         code, out, err = run(capsys, "bench", "--k", "2", "--sizes", "10", "--reps", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("--k", "2", "--sizes", "10", "--sign", "-1", "--layers", "red"),
+        ("--k", "2", "--sizes", "10", "--layers", "invert_fuss,nosuch"),
+        # (1, 1) classifies as k = 2, sign -1, and (3, 2) as k = 1, sign +1.
+        ("--k", "0", "--sizes", "1", "--reps", "1"),
+        ("--k", "2", "--sizes", "2", "--sign", "-1", "--reps", "1"),
+    ])
+    def test_bad_request_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "bench", *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -262,6 +262,19 @@ class TestRowConstructors:
         with pytest.raises(RowConstraintViolated):
             tableau_from_bottom_row(3, 4, (7, 10, 14, 15))
 
+    @pytest.mark.parametrize("build, k, row, match", [
+        (tableau_from_first_row, 1, (1, 2.9), "integers"),
+        (tableau_from_first_row, 1, ("1", "3"), "integers"),
+        (tableau_from_first_row, 1, (True, 3), "integers"),
+        (tableau_from_bottom_row, 1, (2.5, 4), "integers"),
+        # (0 * 2 + 1, 2) = (1, 2) classifies as k = 1, sign -1.
+        (tableau_from_first_row, 0, (1, 2), "not the Fuss classification"),
+        (tableau_from_bottom_row, 0, (1, 2), "not the Fuss classification"),
+    ], ids=["first-float", "first-str", "first-bool", "bottom-float", "first-k0", "bottom-k0"])
+    def test_rejects_bad_input(self, build, k, row, match):
+        with pytest.raises(ValueError, match=match):
+            build(k, 2, row)
+
     def test_reconstruct_every_tableau(self):
         for frame in fuss_frames(12, sign=+1):
             k, n = frame.fuss.k, frame.n
