@@ -57,6 +57,8 @@ def time_layers(k: int, sign: int, sizes, reps: int, seed: int, layers=("invert_
     f"{seed}:{k}:{n}"), the reps round-robin over the sizes so a slow spell hits all of them."""
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
+    if not sizes:
+        raise ValueError("sizes must name at least one n")
     admitted = list(LAYERS)[:None if sign > 0 else -2]
     layers = {"invert_fuss", *(admitted if tuple(layers) == ("all",) else layers)}
     if unknown := layers.difference(admitted):

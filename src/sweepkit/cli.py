@@ -169,7 +169,7 @@ def cmd_bench(args) -> int:
     rows = bench_mod.time_layers(args.k, args.sign, sizes, args.reps, seed, args.layers.split(","))
     print(*map(json.dumps, rows), sep="\n")
     # Growth per layer and size step goes to stderr; the rows run size by size.
-    for small, big in zip(rows, rows[len(rows) // max(len(sizes), 1):]):
+    for small, big in zip(rows, rows[len(rows) // len(sizes):]):
         print(f"# {big['layer']} n={big['n']}: time x{big['mean_s'] / small['mean_s']:.2f} "
               f"for n x{big['n'] / small['n']:.2f}", file=sys.stderr)
     return 0

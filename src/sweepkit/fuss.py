@@ -18,7 +18,8 @@ foot share a column.  ``_fill`` therefore keeps no per-column list, only the
 label above each label: following it k times up from the feet reads every
 column off at once, and one fill serves both the inversion and the tableau.
 A tableau is validated by one such fill of its first-row word, after the
-rule that its (k, sign) be its frame's own Fuss classification.
+rule that its (k, sign) be its frame's own Fuss classification; the
+constructor runs it, so every ``FussTableau`` is the filling of a path.
 """
 
 from __future__ import annotations
@@ -57,10 +58,11 @@ class FussTableau:
     short, and the two virtual labels m+n, m+n+1 live only in the completed
     view used by the walk.
 
-    The first walk is kept in ``_walked``, a cached property and not a
-    field, so equality, hashing, repr, JSON and ``dataclasses.replace``
-    ignore it; a walked tableau keeps its order of m+n labels alive as long
-    as it lives.
+    Every instance is valid: the constructor checks the shape, then runs
+    ``validate``.  The first walk is kept in ``_walked``, a cached property
+    and not a field, so equality, hashing, repr, JSON and
+    ``dataclasses.replace`` ignore it; a walked tableau keeps its order of
+    m+n labels alive as long as it lives.
     """
 
     k: int
@@ -69,8 +71,9 @@ class FussTableau:
     columns: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        """ValueError unless a path fills this shape: n columns of height k+1,
-        except for sign -1 a last column k-1 high or two last columns k high."""
+        """ValueError unless a path fills this shape (n columns of height k+1,
+        except for sign -1 a last column k-1 high or two last columns k high)
+        and ``validate`` accepts the tableau."""
         k, n, sign = self.k, self.n, self.sign
         if sign not in (+1, -1) or k < 1 or n < 1:
             raise ValueError("bad tableau parameters")
@@ -87,6 +90,7 @@ class FussTableau:
                 or countOf(map(len, cols), k + 1) != n - len(short)):
             raise ValueError(f"columns do not have the shape of a k = {k}, n = {n}, "
                              f"sign {sign:+d} tableau")
+        self.validate()
 
     @property
     def m(self) -> int:
@@ -124,18 +128,17 @@ class FussTableau:
         return tuple(c[-1] for c in self.completed_columns())
 
     def validate(self) -> None:
-        """Check that the tableau is the column filling of some path.
+        """Check that a tableau of legal shape is the column filling of some path.
 
-        The shape is checked at construction.  (k, sign) must be the Fuss
-        classification of the frame (kn + sign, n): for n <= 2 a sign -1
-        frame classifies as sign +1 with k - 1, and a tableau of the same
-        shape would then encode a path of that other classification.  The
-        rest is one fill: N at the first-row labels (each in 1 .. m+n, as
-        they index the word) and E elsewhere must spell a path of the frame
-        whose completed columns, read by following ``up`` from the feet, are
-        this tableau's.  Linear; raises ValueError on violation.  Never reads
-        the cached walk; the round trip through a second tableau is kept as
-        ``oracle.oracle_validate``.
+        (k, sign) must be the Fuss classification of the frame (kn + sign, n):
+        for n <= 2 a sign -1 frame classifies as sign +1 with k - 1, and a
+        tableau of the same shape would then encode a path of that other
+        classification.  The rest is one fill: N at the first-row labels (each
+        in 1 .. m+n, as they index the word) and E elsewhere must spell a path
+        of the frame whose completed columns, read by following ``up`` from the
+        feet, are this tableau's.  Linear; raises ValueError on violation.  The
+        constructor runs it, before any walk; the round trip through a second
+        tableau is kept as ``oracle.oracle_validate``.
         """
         k, sign, frame = self.k, self.sign, _fuss_frame(self.k, self.n, self.sign)
         steps = _first_row_word(self.size, self.first_row())
@@ -158,7 +161,7 @@ class FussTableau:
 
     @classmethod
     def from_json(cls, text: str) -> "FussTableau":
-        """Parse ``{"k", "n", "sign", "rows"}`` and validate; ValueError on bad input."""
+        """Parse ``{"k", "n", "sign", "rows"}`` into a tableau; ValueError on bad input."""
         data = json.loads(text)
         if not isinstance(data, dict) or not {"k", "n", "sign", "rows"} <= data.keys():
             raise ValueError("tableau JSON must be an object with keys k, n, sign, rows")
@@ -169,9 +172,7 @@ class FussTableau:
             raise ValueError("tableau k, n, sign and entries must be integers")
         if any(len(a) < len(b) for a, b in zip(rows, rows[1:])):
             raise ValueError("tableau rows must not get longer downwards")
-        tab = cls(k=k, n=n, sign=sign, columns=_transpose(rows))
-        tab.validate()
-        return tab
+        return cls(k=k, n=n, sign=sign, columns=_transpose(rows))
 
     def render_text(self) -> str:
         width = len(str(self.size - 1))
@@ -184,8 +185,8 @@ class FussTableau:
         """``(letters, order)`` of the walk, from the completed columns alone.
 
         ``up[below] = above`` for vertical neighbours; the tops are the first
-        row and the feet the bottom row.  The tableau is trusted as valid;
-        NotSingleCycle if a label repeats.
+        row and the feet the bottom row.  Every tableau is valid, so the
+        walk is one cycle through all m+n labels.
         """
         size, sign = self.size, self.sign
         rows = list(zip(*self.completed_columns()))
@@ -196,10 +197,6 @@ class FussTableau:
         bold = _turns(up, rows[0], rows[-1], size, sign)
         del rows  # freed before the walk fills ``order``
         letters, order = _cycle(up, bold, size, sign)
-        # Each step is a function of the current label alone, and the walk
-        # is back at 1 after m+n steps, so a label repeats iff 1 comes back early.
-        if order.count(1) != 1:
-            raise NotSingleCycle("walk visits a label twice")
         return letters, tuple(order)
 
 
@@ -286,14 +283,15 @@ def _filled_columns(steps: str, k: int, sign: int) -> tuple[tuple[int, ...], ...
 
 
 def _tableau(frame: Frame, steps: str) -> FussTableau:
-    """Tableau of a valid step word of a Fuss frame, from its completed columns."""
+    """Tableau of a valid step word of a Fuss frame, from its completed columns;
+    unchecked, as the filling of a path is by definition a tableau of T^k_n."""
     k, sign = _fuss_params(frame)
     columns = _filled_columns(steps, k, sign)
     if sign < 0:
         # The virtual labels m+n, m+n+1 end the last one or two columns.
         size = frame.size
         columns = columns[:-2] + tuple(tuple(e for e in c if e < size) for c in columns[-2:])
-    return FussTableau(k=k, n=frame.n, sign=sign, columns=columns)
+    return _unchecked(FussTableau, k=k, n=frame.n, sign=sign, columns=columns)
 
 
 def fill_tableau(sw: SWWord) -> FussTableau:
@@ -306,16 +304,12 @@ def path_tableau(path: DyckPath) -> FussTableau:
     return _tableau(path.frame, path.steps)
 
 
-def _check_labels(labels, lo: int, hi: int, row: str) -> None:
-    """ValueError naming the first label outside lo .. hi, before it indexes a word."""
-    if min(labels) < lo or max(labels) > hi:
-        bad = next(e for e in labels if not lo <= e <= hi)
-        raise ValueError(f"{row} label {bad} lies outside {lo} .. {hi}")
-
-
 def _first_row_word(size: int, first_row) -> str:
-    """N at the first-row labels, E elsewhere, in a word of the given size."""
-    _check_labels(first_row, 1, size, "first-row")
+    """N at the first-row labels, E elsewhere, in a word of the given size;
+    ValueError naming the first label outside 1 .. size, before it indexes the word."""
+    if min(first_row) < 1 or max(first_row) > size:
+        bad = next(e for e in first_row if not 1 <= e <= size)
+        raise ValueError(f"first-row label {bad} lies outside 1 .. {size}")
     letters = bytearray(b"E") * size
     for t in first_row:
         letters[t - 1] = 78  # ord("N")
@@ -340,8 +334,6 @@ def bold_set(T: FussTableau) -> frozenset[int]:
 def en_from_tableau(T: FussTableau) -> ENWord:
     """EN rank-order word of the encoded preimage: N at foot +- 1."""
     sign, size, feet = T.sign, T.size, T.bottom_row()
-    # A foot sits below a top, and the completed grid ends at m+n-1 (+1) or m+n+1 (-1).
-    _check_labels(feet, 2, size - sign, "bottom-row")
     letters = bytearray(b"E") * size
     for b in feet:
         letters[b + sign - 1] = 78  # ord("N")
@@ -394,8 +386,8 @@ def _cycle(up: list[int], bold: bytearray, size: int, sign: int) -> tuple[str, l
 def walk(T: FussTableau) -> WalkPermutation:
     """The single-cycle walk through the labels 1 .. m+n.
 
-    ``T`` is trusted as valid, as every constructor and ``from_json`` give
-    it; the reference walk over the columns is ``oracle._walk_order``.
+    Every ``FussTableau`` is valid, so this is one cycle; the reference walk
+    over the columns is ``oracle._walk_order``.
     """
     return WalkPermutation(order=T._walked[1])
 
@@ -477,11 +469,12 @@ def tableau_from_bottom_row(k: int, n: int, b) -> FussTableau:
 
 
 def psi(T: FussTableau) -> FussTableau:
-    """Half-turn involution: entry (i, j) becomes (k+1)n+1 - T[k+2-i, n+1-j]."""
+    """Half-turn involution: entry (i, j) becomes (k+1)n+1 - T[k+2-i, n+1-j];
+    unchecked, as the half-turn is an involution of T^k_n (the paper's psi)."""
     if T.sign != +1:
         raise ValueError("psi is defined for sign +1 tableaux only")
     total = (T.k + 1) * T.n
     flipped = tuple(
         tuple(total + 1 - e for e in reversed(col)) for col in reversed(T.columns)
     )
-    return FussTableau(k=T.k, n=T.n, sign=+1, columns=flipped)
+    return _unchecked(FussTableau, k=T.k, n=T.n, sign=+1, columns=flipped)

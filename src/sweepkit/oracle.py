@@ -23,8 +23,8 @@ from collections import deque
 from functools import lru_cache
 from typing import Iterator
 
-from .core import (EAST, NORTH, DyckPath, Frame, Fuss, RankSequence, enumerate_paths,
-                   make_frame, ranks)
+from .core import (EAST, NORTH, DyckPath, Frame, Fuss, RankSequence, _unchecked,
+                   enumerate_paths, make_frame, ranks)
 from .errors import (
     FrameTooLarge,
     InconsistentPair,
@@ -234,30 +234,30 @@ def _walk_order(columns: tuple[tuple[int, ...], ...], sign: int) -> list[int]:
     return order
 
 
-def oracle_validate(T: FussTableau) -> None:
-    """``FussTableau.validate`` as the round trip it replaced: (k, sign) must be
-    the frame's Fuss classification, S at the first-row labels and W elsewhere
-    must be an SW word of the frame, and its per-column list filling
-    (``_fill_columns``, not the fill kernel) must be the tableau again.
-    Raises ValueError on violation, as ``validate`` does.
+def oracle_validate(k: int, n: int, sign: int, columns) -> None:
+    """``FussTableau(k, n, sign, columns)``'s check as the round trip that
+    ``validate`` replaced: (k, sign) the Fuss classification of (kn + sign, n),
+    S at the first-row labels and W elsewhere an SW word of that frame, and its
+    per-column list filling (``_fill_columns``, not the fill kernel) ``columns``
+    again, which also fixes the shape.  ValueError otherwise.
     """
-    frame = T.frame()
-    if frame.fuss != Fuss(T.k, T.sign):
+    frame = make_frame(k * n + sign, n)
+    if frame.fuss != Fuss(k, sign):
         raise ValueError("(k, sign) is not the Fuss classification of the frame")
-    tops = set(T.first_row())
+    tops = {c[0] for c in columns}
     letters = "".join(S_STEP if label in tops else W_STEP for label in range(1, frame.size + 1))
     try:
-        columns = tuple(map(tuple, _fill_columns(SWWord(frame, letters).letters, T.k)))
+        filled = tuple(map(tuple, _fill_columns(SWWord(frame, letters).letters, k)))
     except SweepkitError as exc:
         raise ValueError(f"tableau encodes no path: {exc}") from exc
-    if columns != T.columns:
+    if filled != columns:
         raise ValueError("tableau is not the column filling of its first row")
 
 
 def oracle_red(T: FussTableau) -> FussTableau:
     """``reduction.red`` by one bisection per entry: each entry of columns
     2 .. n drops by the number of column-1 entries below it.  The loop that
-    the shift table of ``red`` replaced, kept as its reference."""
+    the shift table of ``red`` replaced, kept as its reference; unchecked."""
     from .reduction import _require_plus
 
     _require_plus(T, "oracle_red")
@@ -265,7 +265,7 @@ def oracle_red(T: FussTableau) -> FussTableau:
         raise TooNarrow("cannot remove the only column")
     col1 = T.columns[0]
     columns = tuple(tuple(e - bisect_left(col1, e) for e in col) for col in T.columns[1:])
-    return FussTableau(k=T.k, n=T.n - 1, sign=+1, columns=columns)
+    return _unchecked(FussTableau, k=T.k, n=T.n - 1, sign=+1, columns=columns)
 
 
 def oracle_fiber(T_reduced: FussTableau) -> list[DyckPath]:
@@ -321,7 +321,7 @@ def enumerate_tableaux(k: int, n: int) -> Iterator[FussTableau]:
     tableau of the rectangle, not only the valid ones, so it refuses, with
     FrameTooLarge, when their hook-length count exceeds BRUTE_PATH_LIMIT,
     before the first tableau is placed.  That count bounds the (kn+1, n)
-    frame's path count from above.
+    frame's path count from above.  Built unchecked: no fill kernel runs.
     """
     make_frame(k * n + 1, n)  # raises on k, n that give no frame
     total = (k + 1) * n
@@ -338,9 +338,8 @@ def enumerate_tableaux(k: int, n: int) -> Iterator[FussTableau]:
     def place(label: int) -> Iterator[FussTableau]:
         if label > total:
             if _strip_ok(columns):
-                yield FussTableau(
-                    k=k, n=n, sign=+1, columns=tuple(tuple(c) for c in columns)
-                )
+                yield _unchecked(FussTableau, k=k, n=n, sign=+1,
+                                 columns=tuple(map(tuple, columns)))
             return
         for j in range(n):
             h = heights[j]

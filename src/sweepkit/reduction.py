@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import chain, pairwise
-from operator import lt
 
 from .core import (
     EAST,
@@ -29,7 +28,7 @@ from .core import (
 )
 from .errors import NotFuss, RankNotPresent, RankTooLarge, TooNarrow
 # psi lives in fuss and stays importable from here.
-from .fuss import FussTableau, _check_labels, invert_fuss, psi, tableau_from_bottom_row
+from .fuss import FussTableau, invert_fuss, psi, tableau_from_bottom_row
 from .sweep import sweep
 
 
@@ -45,23 +44,19 @@ def red(T: FussTableau) -> FussTableau:
     is constant between consecutive column-1 entries.  So one table of the
     labels 0 .. (k+1)n, built a segment of ``range`` at a time, renumbers
     every other entry in one flat pass, regrouped k+1 at a time into columns.
-    ValueError if an entry lies outside 1 .. (k+1)n or column 1 does not
-    increase.  The bisection per entry it replaced is ``oracle.oracle_red``.
+    Unchecked: column reduction maps T^k_n onto T^k_{n-1} (the paper's red).
+    The bisection per entry it replaced is ``oracle.oracle_red``.
     """
     _require_plus(T, "red")
     if T.n < 2:
         raise TooNarrow("cannot remove the only column")
-    total = T.size - 1
     col1 = T.columns[0]
-    entries = list(chain.from_iterable(T.columns))
-    _check_labels(entries, 1, total, "tableau")
-    if not all(map(lt, col1, col1[1:])):
-        raise ValueError(f"column 1 {col1} does not increase")
-    bounds = (0, *col1, total + 1)
+    bounds = (0, *col1, T.size)  # T.size - 1 = (k+1)n is the largest entry
     renumber = list(chain.from_iterable(
         range(a - i, b - i) for i, (a, b) in enumerate(pairwise(bounds))))
-    flat = map(renumber.__getitem__, entries[len(col1):])
-    return FussTableau(k=T.k, n=T.n - 1, sign=+1, columns=tuple(zip(*[flat] * len(col1))))
+    flat = map(renumber.__getitem__, chain.from_iterable(T.columns[1:]))
+    columns = tuple(zip(*[flat] * len(col1)))
+    return _unchecked(FussTableau, k=T.k, n=T.n - 1, sign=+1, columns=columns)
 
 
 def fiber_count(T_reduced: FussTableau) -> int:
@@ -130,8 +125,8 @@ def fiber_by_cutting(T_reduced: FussTableau) -> list[DyckPath]:
     """
     _require_plus(T_reduced, "fiber_by_cutting")
     k = T_reduced.k
-    # The reduced tableau's walk spells its preimage.
-    preimage = DyckPath(T_reduced.frame(), T_reduced._walked[0])
+    # The walk of a tableau spells its sweep preimage (the paper's theorem).
+    preimage = _unchecked(DyckPath, frame=T_reduced.frame(), steps=T_reduced._walked[0])
     steps, reduced_m = preimage.steps, preimage.frame.m
     frame = make_frame(reduced_m + k, preimage.frame.n + 1)
     m, n = frame.m, frame.n

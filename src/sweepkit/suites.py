@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (DyckPath, Frame, RankSequence, area, dinv, enumerate_paths, make_frame,
-                   parse_path, rank_complement, rank_sequence)
-from .fuss import FussTableau, fill_tableau, invert_fuss, tableau_to_sw, walk
+from .core import (DyckPath, Frame, RankSequence, _unchecked, area, dinv, enumerate_paths,
+                   make_frame, parse_path, rank_complement, rank_sequence)
+from .fuss import FussTableau, fill_tableau, invert_fuss, psi, tableau_to_sw, walk
 from .oracle import (
     _fill_columns,
     _walk_order,
@@ -23,7 +23,7 @@ from .oracle import (
     oracle_fiber_by_cutting,
     oracle_invert_sweep,
 )
-from .reduction import fiber_by_cutting
+from .reduction import fiber_by_cutting, red
 from .qtcatalan import CATALAN_ROUTES, path_count
 from .sweep import ENWord, SWWord, bipartite_invert, en_word, steps_to_sw, sw_word, sweep
 
@@ -127,29 +127,38 @@ def fuss_inversion(frames) -> tuple[int, Counterexample | None]:
         for frame, D in _fuss_paths(frames)))
 
 
+def _rebuilt(U: FussTableau | bool) -> bool:
+    """An unchecked tableau passes the constructor (False: there is none)."""
+    return not U or FussTableau(k=U.k, n=U.n, sign=U.sign, columns=U.columns) == U
+
+
 def _tableau(D: DyckPath, fillers: dict) -> dict:
     T = fill_tableau(SWWord(D.frame, steps_to_sw(D.steps)))
-    T.validate()
-    fiber = None if T.sign < 0 else [
-        parse_path(P.frame, P.steps).steps for P in fiber_by_cutting(T)]
-    return {"tableau_to_sw": tableau_to_sw(T).letters, "walk": walk(T).order,
+    plus = T.sign > 0
+    fiber = [parse_path(P.frame, P.steps).steps for P in fiber_by_cutting(T)] if plus else None
+    return {"FussTableau(fill_tableau)": _rebuilt(T),
+            "FussTableau(red)": _rebuilt(plus and T.n >= 2 and red(T)),
+            "FussTableau(psi)": _rebuilt(plus and psi(T)),
+            "tableau_to_sw": tableau_to_sw(T).letters, "walk": walk(T).order,
             "filled from": fillers.setdefault(T.columns, D.steps), "fiber": fiber}
 
 
 def _tableau_expected(D: DyckPath) -> dict:
     fuss, columns = D.frame.fuss, reference_columns(D)
     fiber = None  # a sign -1 tableau has no fiber
-    if fuss.sign > 0:
-        reference = FussTableau(k=fuss.k, n=D.frame.n, sign=+1, columns=columns)
+    if fuss.sign > 0:  # the reference tableau is unchecked: no fill kernel runs
+        reference = _unchecked(FussTableau, k=fuss.k, n=D.frame.n, sign=+1, columns=columns)
         fiber = [P.steps for P in oracle_fiber_by_cutting(reference)]
-    return {"tableau_to_sw": steps_to_sw(D.steps), "walk": tuple(_walk_order(columns, fuss.sign)),
+    return {"FussTableau(fill_tableau)": True, "FussTableau(red)": True, "FussTableau(psi)": True,
+            "tableau_to_sw": steps_to_sw(D.steps), "walk": tuple(_walk_order(columns, fuss.sign)),
             "filled from": D.steps, "fiber": fiber}
 
 
 def tableau_walk(frames) -> tuple[int, Counterexample | None]:
-    """Column filling is injective into valid tableaux, ``tableau_to_sw`` undoes
-    it, the walk equals the oracle's column walk over the oracle's fill, and
-    for sign +1 the fiber one column up, through parse_path, is the oracle's."""
+    """Column filling is injective into valid tableaux; they and their ``red`` and ``psi``
+    pass the constructor; ``tableau_to_sw`` undoes it; the walk is the oracle's column walk
+    over the oracle's fill, and for sign +1 the fiber one column up (through parse_path)
+    is the oracle's cut-by-cut one."""
     fillers: dict = {}  # one for every frame: the columns fix the frame
     return _first("tableau and walk", (
         (frame, D.steps, _tableau_expected(D), _tableau, D, fillers)

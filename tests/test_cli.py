@@ -273,6 +273,7 @@ class TestBench:
         # (1, 1) classifies as k = 2, sign -1, and (3, 2) as k = 1, sign +1.
         ("--k", "0", "--sizes", "1", "--reps", "1"),
         ("--k", "2", "--sizes", "2", "--sign", "-1", "--reps", "1"),
+        ("--k", "1", "--sizes", ",", "--reps", "1"),  # no size at all
     ])
     def test_bad_request_exit_2(self, capsys, argv):
         code, out, err = run(capsys, "bench", *argv)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 
 import pytest
 
@@ -9,7 +10,6 @@ from sweepkit import (
     DyckPath,
     FussTableau,
     NotFuss,
-    NotSingleCycle,
     RowConstraintViolated,
     SWWord,
     bold_set,
@@ -92,9 +92,8 @@ class TestTableauToSw:
     @pytest.mark.parametrize("columns, label", [(((1, 2), (9, 4)), 9), (((1, 2), (0, 4)), 0),
                                                 (((-3, 2), (3, 4)), -3)])
     def test_names_a_first_row_label_outside_the_word(self, columns, label):
-        T = FussTableau(k=1, n=2, sign=1, columns=columns)
         with pytest.raises(ValueError, match=f"first-row label {label} "):
-            tableau_to_sw(T)
+            FussTableau(k=1, n=2, sign=1, columns=columns)
 
 
 class TestEnExtraction:
@@ -106,15 +105,6 @@ class TestEnExtraction:
     def test_single_column_last_position(self):
         T = fill_tableau(SWWord(make_frame(4, 1), "SWWWW"))
         assert en_from_tableau(T).letters == "EEEEN"
-
-    @pytest.mark.parametrize("sign, columns, label", [
-        (1, ((1, 2), (3, 9)), 9), (1, ((1, 2), (3, 0)), 0), (1, ((1, -4), (3, 4)), -4),
-        (-1, ((1, 1), (3,), (4,)), 1), (-1, ((1, 7), (3,), (4,)), 7)])
-    def test_names_a_bottom_row_label_outside_the_word(self, sign, columns, label):
-        # Sign -1 completes the feet with 5 and 6 and puts each N at foot - 1.
-        T = FussTableau(k=1, n=2 if sign > 0 else 3, sign=sign, columns=columns)
-        with pytest.raises(ValueError, match=f"bottom-row label {label} "):
-            en_from_tableau(T)
 
     def test_matches_en_word_of_preimage(self):
         # Building from sw_word(D) must yield en_word(D), both signs.
@@ -352,9 +342,9 @@ class TestValidate:
 
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_agrees_with_the_round_trip_oracle(self, sign):
-        def accepts(check, T):
+        def accepts(check, *fields):
             try:
-                check(T)
+                check(*fields)
             except ValueError:
                 return False
             return True
@@ -364,11 +354,8 @@ class TestValidate:
                 if k * n + sign < 1:
                     continue
                 for columns in increasing_fillings(k, n, sign):
-                    try:
-                        T = FussTableau(k=k, n=n, sign=sign, columns=columns)
-                    except ValueError:
-                        continue
-                    assert accepts(FussTableau.validate, T) == accepts(oracle_validate, T), T
+                    fields = (k, n, sign, columns)
+                    assert accepts(FussTableau, *fields) == accepts(oracle_validate, *fields), fields
 
     def test_rejects_a_sign_the_frame_does_not_classify(self):
         # (3, 2) classifies as k = 1, sign +1.  Read as k = 2, sign -1 these rows
@@ -377,15 +364,14 @@ class TestValidate:
         with pytest.raises(ValueError, match="classification"):
             FussTableau.from_json(text)
         with pytest.raises(ValueError, match="classification"):
-            oracle_validate(FussTableau(k=2, n=2, sign=-1, columns=((1, 2), (3, 4))))
+            oracle_validate(2, 2, -1, ((1, 2), (3, 4)))
         assert invert_fuss(parse_path(make_frame(3, 2), "NENEE")).steps == "NNEEE"
         FussTableau.from_json('{"k": 1, "n": 2, "sign": 1, "rows": [[1, 3], [2, 4]]}')
 
     def test_rejects_minus_filling_of_no_path(self):
         # Rows [[1, 3, 4], [2]] satisfy the strip conditions but encode no path.
-        T = FussTableau(k=1, n=3, sign=-1, columns=((1, 2), (3,), (4,)))
         with pytest.raises(ValueError, match="encodes no path"):
-            T.validate()
+            FussTableau(k=1, n=3, sign=-1, columns=((1, 2), (3,), (4,)))
 
     @pytest.mark.parametrize(
         "columns",
@@ -397,6 +383,24 @@ class TestValidate:
         with pytest.raises(ValueError):
             FussTableau(k=1, n=2, sign=1, columns=columns).validate()
 
+    @pytest.mark.parametrize("n, sign, columns", [
+        # Legal shapes that no path fills: a foot past the grid, rows crossed, and a
+        # column 1 that decreases.
+        (2, 1, ((1, 2), (3, 9))), (2, 1, ((1, 4), (2, 3))), (2, 1, ((2, 1), (3, 4))),
+        # Feet outside the completed grid; sign -1 completes them with 5 and 6.
+        (2, 1, ((1, 2), (3, 0))), (2, 1, ((1, -4), (3, 4))),
+        (3, -1, ((1, 1), (3,), (4,))), (3, -1, ((1, 7), (3,), (4,))),
+        # An entry below 1, and a column 1 that decreases.
+        (2, 1, ((1, 2), (0, 4))), (2, 1, ((3, 1), (2, 4))),
+    ], ids=["foot-9", "rows-crossed", "column-1-2-1", "foot-0", "foot--4", "minus-foot-1",
+            "minus-foot-7", "entry-0", "column-1-3-1"])
+    def test_rejects_what_no_path_fills(self, n, sign, columns):
+        with pytest.raises(ValueError):
+            FussTableau(k=1, n=n, sign=sign, columns=columns)
+        rows = [list(row) for row in sweepkit.fuss._transpose(columns)]
+        with pytest.raises(ValueError):
+            FussTableau.from_json(json.dumps({"k": 1, "n": n, "sign": sign, "rows": rows}))
+
     def test_shape_checked_at_construction(self):
         # The one column of a k = 2, n = 1, sign -1 tableau is k - 1 = 1 high, not 2.
         with pytest.raises(ValueError, match="shape"):
@@ -404,10 +408,9 @@ class TestValidate:
         # Nor two columns k high: a tableau has exactly n columns.
         with pytest.raises(ValueError, match="shape"):
             FussTableau(k=2, n=1, sign=-1, columns=((1, 2), (3, 4)))
-        # A legal shape is built; that it encodes no path is validate's finding.
-        T = FussTableau(k=1, n=3, sign=-1, columns=((1, 2), (3,), (4,)))
-        with pytest.raises(NotSingleCycle):
-            walk(T)
+        # A legal shape passes the shape check; that it encodes no path is validate's finding.
+        with pytest.raises(ValueError, match="encodes no path"):
+            FussTableau(k=1, n=3, sign=-1, columns=((1, 2), (3,), (4,)))
 
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_shape_rule_on_every_height_list(self, sign):
@@ -424,10 +427,10 @@ class TestValidate:
                         columns = tuple(tuple(range(h)) for h in heights)
                         try:
                             FussTableau(k=k, n=n, sign=sign, columns=columns)
-                            built = True
-                        except ValueError:
-                            built = False
-                        assert built == listed_shapes(k, n, list(heights)), (k, n, heights)
+                            shaped = True
+                        except ValueError as exc:  # validate rejects these labels, not the shape
+                            shaped = "shape" not in str(exc)
+                        assert shaped == listed_shapes(k, n, list(heights)), (k, n, heights)
 
 
 class TestTableauJson:
@@ -597,8 +600,8 @@ class TestCarriedWordAndWalk:
 
     def test_validate_does_not_trust_the_carried_word(self):
         good = path_tableau(parse_path(make_frame(5, 2), "NENEEEE"))
-        bad = FussTableau(k=2, n=2, sign=1, columns=((1, 2, 5), (3, 4, 6)))
+        bad = ((1, 2, 5), (3, 4, 6))
         # Same first row, so the same word, but 5 and 4 swapped.
-        assert good.first_row() == bad.first_row() and good != bad
+        assert good.first_row() == (1, 3) and good.columns != bad
         with pytest.raises(ValueError, match="not the column filling"):
-            bad.validate()
+            FussTableau(k=2, n=2, sign=1, columns=bad)
