@@ -3,6 +3,7 @@ import random
 import pytest
 
 from sweepkit import (
+    FussTableau,
     NotFuss,
     RankNotPresent,
     RankTooLarge,
@@ -76,6 +77,12 @@ class TestRed:
                 continue
             for T in enumerate_tableaux(frame.fuss.k, frame.n):
                 assert red(T) == oracle_red(T), T
+
+    @pytest.mark.parametrize("columns", [((1, 2), (3, 9)), ((1, 2), (0, 4)), ((3, 1), (2, 4))])
+    def test_rejects_labels_it_cannot_renumber(self, columns):
+        # red never sees these labels: the constructor refuses the tableau.
+        with pytest.raises(ValueError):
+            red(FussTableau(k=1, n=2, sign=1, columns=columns))
 
     def test_too_narrow(self):
         T = path_tableau(parse_path(make_frame(4, 1), "NEEEE"))
