@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 from operator import add, and_, indexOf, lt
 from typing import Iterator, Optional, Sequence
 
@@ -115,7 +115,7 @@ def _rank_keys(frame: Frame, steps: str, at_start: bool = True) -> list[int]:
 def _rank_sort(keys: list[int]) -> str:
     """Sort ``_rank_keys`` in place and spell their letters.  Both rank sets are the m+n
     distinct start ranks, so one C-level sort orders the steps and the low bit gives the
-    letter back: the kernel behind sweep, sw_word, en_word, dinv and fiber_by_cutting."""
+    letter back: the kernel behind sweep, sw_word, en_word and fiber_by_cutting."""
     keys.sort()
     return bytes(map(and_, keys, repeat(1))).translate(_KEY_LETTERS).decode("ascii")
 
@@ -159,15 +159,19 @@ class DyckPath:
 def parse_path(frame: Frame, word: str | Sequence[str]) -> DyckPath:
     """Validate a step word over {N, E} (any case) against the frame.
 
-    A ``str`` is used as is, other sequences are joined first.  The alphabet
-    check is two C-level counts; the set of offending letters is built only
-    for the error message.  Then DyckPath validates counts and ranks.
+    A ``str`` is used as is, other sequences are joined first.  DyckPath's
+    length and count checks decide: right counts at the right length make a
+    pure N/E word.  Only on WrongStepCounts is the word scanned again, for
+    letters other than N and E, which get their own ValueError.
     """
     steps = (word if isinstance(word, str) else "".join(word)).upper()
-    if steps.count(NORTH) + steps.count(EAST) != len(steps):
+    try:
+        return DyckPath(frame, steps)
+    except WrongStepCounts:
         bad = set(steps) - {NORTH, EAST}
-        raise ValueError(f"step word may only contain N and E, got {sorted(bad)}")
-    return DyckPath(frame, steps)
+        if bad:
+            raise ValueError(f"step word may only contain N and E, got {sorted(bad)}") from None
+        raise
 
 
 def path_from_json(text: str) -> DyckPath:
@@ -210,7 +214,8 @@ class RankSequence:
 
 def rank_sequence(path: DyckPath) -> RankSequence:
     """Sorted start ranks, unchecked: coprime ranks are distinct and the least is 0."""
-    return _unchecked(RankSequence, values=tuple(sorted(ranks(path))))
+    return _unchecked(RankSequence,
+                      values=tuple(sorted(_prefix_ranks(path.frame.m, path.frame.n, path.steps))))
 
 
 def _word_area(frame: Frame, steps: str) -> int:
@@ -247,12 +252,19 @@ def dinv(path: DyckPath) -> int:
     """dinv through the sweep transport: dinv(D) = area(sweep(D)).
 
     The sweep image's step word is the path's letters in increasing
-    start-rank order, so dinv is one rank sort plus one area pass,
-    O((m+n) log(m+n)) with no image path built.  The O(mn) cell rule this
-    identity replaces is kept as ``oracle.oracle_dinv``, and the tests
-    check the two against each other exhaustively.
+    start-rank order, so dinv is one rank sort, O((m+n) log(m+n)) with no
+    image path built.  The sorted keys are not spelled: their low bits mark
+    the image's E's, whose heights (N's before them) sum to the sum of their
+    positions minus m(m-1)/2, and area is that sum less the bound of
+    ``_word_area``.  The O(mn) cell rule this identity replaces is kept as
+    ``oracle.oracle_dinv``, and the tests check the two against each other
+    exhaustively.
     """
-    return _word_area(path.frame, _rank_sort(_rank_keys(path.frame, path.steps)))
+    frame, m = path.frame, path.frame.m
+    keys = _rank_keys(frame, path.steps)
+    keys.sort()
+    east_positions = sum(compress(range(frame.size), map(and_, keys, repeat(1))))
+    return east_positions - m * (m - 1) // 2 - frame.statistic_bound() - frame.size + 1
 
 
 def rank_complement(path: DyckPath) -> DyckPath:
@@ -268,20 +280,22 @@ def rank_complement(path: DyckPath) -> DyckPath:
 
 
 def enumerate_paths(frame: Frame) -> Iterator[DyckPath]:
-    """Yield every path of the frame once, in lexicographic order with N < E."""
+    """Yield every path of the frame once, in lexicographic order with N < E.
+
+    A depth-first walk over an explicit stack of (prefix, N's left, E's left,
+    rank), pushing E before N so that N comes out first.  E is taken only from
+    rank >= n, and once no N is left the forced tail of E's ends the word.
+    Every path is built unchecked: each prefix ends at rank >= 0, and the
+    forced tail walks the rank down to the endpoint's 0.
+    """
     m, n = frame.m, frame.n
-
-    def walk(word: list[str], north: int, east: int, r: int) -> Iterator[DyckPath]:
-        if north == 0 and east == 0:
-            yield DyckPath(frame, "".join(word))
-            return
-        if north > 0:
-            word.append(NORTH)
-            yield from walk(word, north - 1, east, r + m)
-            word.pop()
-        if east > 0 and r - n >= 0:
-            word.append(EAST)
-            yield from walk(word, north, east - 1, r - n)
-            word.pop()
-
-    yield from walk([], n, m, 0)
+    stack = [("", n, m, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        prefix, north, east, r = pop()
+        if not north:
+            yield _unchecked(DyckPath, frame=frame, steps=prefix + EAST * east)
+            continue
+        if r >= n:  # so east > 0: with no E left the rank is -m*north < 0
+            push((prefix + EAST, north, east - 1, r - n))
+        push((prefix + NORTH, north - 1, east, r + m))

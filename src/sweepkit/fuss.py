@@ -317,13 +317,20 @@ def _first_row_word(size: int, first_row) -> str:
 
 
 def _first_row_sw(frame: Frame, first_row) -> SWWord:
-    """S at the first-row labels, W elsewhere."""
+    """S at the first-row labels, W elsewhere; checked, for a first row from outside."""
     return SWWord(frame, steps_to_sw(_first_row_word(frame.size, first_row)))
 
 
 def tableau_to_sw(T: FussTableau) -> SWWord:
-    """Inverse of fill_tableau: S at the first-row entries, W elsewhere."""
-    return _first_row_sw(T.frame(), T.first_row())
+    """Inverse of fill_tableau: S at the first-row entries, W elsewhere.
+
+    Unchecked: every tableau is the column filling of a path, and a filling
+    starts a new column at each S, so its first row spells that path's word.
+    """
+    frame = T.frame()
+    steps = _first_row_word(T.size, T.first_row())
+    return _unchecked(SWWord, frame=frame, letters=steps_to_sw(steps),
+                      _path=_unchecked(DyckPath, frame=frame, steps=steps))
 
 
 def bold_set(T: FussTableau) -> frozenset[int]:
@@ -332,12 +339,16 @@ def bold_set(T: FussTableau) -> frozenset[int]:
 
 
 def en_from_tableau(T: FussTableau) -> ENWord:
-    """EN rank-order word of the encoded preimage: N at foot +- 1."""
+    """EN rank-order word of the encoded preimage: N at foot +- 1.
+
+    Unchecked: by the paper's theorem the walk of a tableau spells the sweep
+    preimage of the path it fills, and this is that preimage's EN word.
+    """
     sign, size, feet = T.sign, T.size, T.bottom_row()
     letters = bytearray(b"E") * size
     for b in feet:
         letters[b + sign - 1] = 78  # ord("N")
-    return ENWord(T.frame(), letters.decode("ascii"))
+    return _unchecked(ENWord, frame=T.frame(), letters=letters.decode("ascii"))
 
 
 def _turns(up: list[int], tops, feet, size: int, sign: int) -> bytearray:

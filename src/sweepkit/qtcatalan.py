@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
+from collections import Counter
 from typing import Iterable, Iterator
 
-from .core import DyckPath, Frame, area, dinv, enumerate_paths, make_frame, rank_sequence
+from .core import DyckPath, Frame, _prefix_ranks, area, dinv, enumerate_paths, make_frame
 from .errors import NotFuss
 from .fuss import invert_fuss
 
@@ -85,10 +87,8 @@ class QTPolynomial:
 
 
 def _accumulate(pairs: Iterable[tuple[int, int]]) -> QTPolynomial:
-    terms: dict[tuple[int, int], int] = {}
-    for key in pairs:
-        terms[key] = terms.get(key, 0) + 1
-    return QTPolynomial(terms)
+    """One term q^a t^b per ``(a, b)`` pair, counted in C."""
+    return QTPolynomial(Counter(pairs))
 
 
 def path_count(frame: Frame) -> int:
@@ -122,14 +122,15 @@ def catalan_step(k: int, n: int) -> QTPolynomial:
         raise ValueError("catalan_step needs n >= 2")
     n_ = n - 1
     m_ = k * n_ + 1
-    terms: dict[tuple[int, int], int] = {}
-    for D in _fuss_paths(k, n_):
-        d, a = dinv(D), area(D)
-        for i, r in enumerate(rank_sequence(D), start=1):
-            if r < m_:
-                key = (d + i - 1, a + n_ * k - r)
-                terms[key] = terms.get(key, 0) + 1
-    return QTPolynomial(terms)
+
+    def monomials() -> Iterator[tuple[int, int]]:
+        for D in _fuss_paths(k, n_):
+            d, a = dinv(D), area(D) + n_ * k
+            rs = sorted(_prefix_ranks(m_, n_, D.steps))
+            for i in range(bisect_left(rs, m_)):
+                yield d + i, a - rs[i]
+
+    return _accumulate(monomials())
 
 
 # The three routes to C_n^(k)(q, t), by the name ``sweepkit catalan --via`` takes.

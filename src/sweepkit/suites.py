@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from .core import (DyckPath, Frame, RankSequence, _unchecked, area, dinv, enumerate_paths,
                    make_frame, parse_path, rank_complement, rank_sequence)
-from .fuss import FussTableau, fill_tableau, invert_fuss, psi, tableau_to_sw, walk
+from .fuss import (FussTableau, en_from_tableau, fill_tableau, invert_fuss, psi, tableau_to_sw,
+                   walk)
 from .oracle import (
     _fill_columns,
     _walk_order,
@@ -81,13 +82,15 @@ def _fuss_paths(frames):
     return ((f, D) for f in frames if f.fuss is not None for D in enumerate_paths(f))
 
 
-def _transport(D: DyckPath, preimages: dict[str, str]) -> dict:
+def _transport(D: DyckPath, preimages: dict[str, str], last: bool) -> dict:
     frame, image, sw, en = D.frame, sweep(D), sw_word(D), en_word(D)
     complement, rs, preimage = rank_complement(D), rank_sequence(D), bipartite_invert(sw, en)[0]
-    return {"path count": path_count(frame), "dinv": dinv(D), "area(sweep)": area(image),
+    return {"path count": path_count(frame) if last else None, "dinv": dinv(D),
+            "area(sweep)": area(image),
             "sweep preimage": preimages.setdefault(image.steps, D.steps),
+            "parse_path(enumerate_paths)": parse_path(frame, D.steps) == D,
             "parse_path(sweep)": parse_path(frame, image.steps) == image,
-            "SWWord(sw_word)": SWWord(frame, sw.letters) == sw,
+            "SWWord(sw_word)": SWWord(frame, sw.letters).as_path() == sw.as_path(),
             "ENWord(en_word)": ENWord(frame, en.letters) == en,
             "parse_path(rank_complement)": parse_path(frame, complement.steps) == complement,
             "RankSequence(rank_sequence)": RankSequence(rs.values) == rs,
@@ -99,18 +102,23 @@ def _transport_cases(frames):
     for frame in frames:
         paths = list(enumerate_paths(frame))
         for D in paths:
+            # The count is checked on the frame's last path, so that a path the
+            # enumeration got wrong is named before the count it throws off.
+            last = D is paths[-1]
             cells = oracle_dinv(D)
-            expected = {"path count": len(paths), "dinv": cells, "area(sweep)": cells,
-                        "sweep preimage": D.steps, "parse_path(sweep)": True,
+            expected = {"path count": len(paths) if last else None, "dinv": cells,
+                        "area(sweep)": cells, "sweep preimage": D.steps,
+                        "parse_path(enumerate_paths)": True, "parse_path(sweep)": True,
                         "SWWord(sw_word)": True, "ENWord(en_word)": True,
                         "parse_path(rank_complement)": True, "RankSequence(rank_sequence)": True,
                         "parse_path(bipartite_invert)": D.steps}
-            yield frame, D.steps, expected, _transport, D, preimages
+            yield frame, D.steps, expected, _transport, D, preimages, last
 
 
 def sweep_transport(frames) -> tuple[int, Counterexample | None]:
     """Path count, sweep injective, dinv = cell-rule dinv = area of the image, every
-    output built unchecked valid, and bipartite_invert(sw_word, en_word) the path."""
+    enumerated path and every output built unchecked valid, and
+    bipartite_invert(sw_word, en_word) the path."""
     return _first("sweep transport", _transport_cases(frames))
 
 
@@ -136,10 +144,13 @@ def _tableau(D: DyckPath, fillers: dict) -> dict:
     T = fill_tableau(SWWord(D.frame, steps_to_sw(D.steps)))
     plus = T.sign > 0
     fiber = [parse_path(P.frame, P.steps).steps for P in fiber_by_cutting(T)] if plus else None
-    return {"FussTableau(fill_tableau)": _rebuilt(T),
+    sw, en = tableau_to_sw(T), en_from_tableau(T)
+    return {"SWWord(tableau_to_sw)": SWWord(sw.frame, sw.letters).as_path() == sw.as_path(),
+            "ENWord(en_from_tableau)": ENWord(en.frame, en.letters) == en,
+            "FussTableau(fill_tableau)": _rebuilt(T),
             "FussTableau(red)": _rebuilt(plus and T.n >= 2 and red(T)),
             "FussTableau(psi)": _rebuilt(plus and psi(T)),
-            "tableau_to_sw": tableau_to_sw(T).letters, "walk": walk(T).order,
+            "tableau_to_sw": sw.letters, "walk": walk(T).order,
             "filled from": fillers.setdefault(T.columns, D.steps), "fiber": fiber}
 
 
@@ -149,14 +160,16 @@ def _tableau_expected(D: DyckPath) -> dict:
     if fuss.sign > 0:  # the reference tableau is unchecked: no fill kernel runs
         reference = _unchecked(FussTableau, k=fuss.k, n=D.frame.n, sign=+1, columns=columns)
         fiber = [P.steps for P in oracle_fiber_by_cutting(reference)]
-    return {"FussTableau(fill_tableau)": True, "FussTableau(red)": True, "FussTableau(psi)": True,
+    return {"SWWord(tableau_to_sw)": True, "ENWord(en_from_tableau)": True,
+            "FussTableau(fill_tableau)": True, "FussTableau(red)": True, "FussTableau(psi)": True,
             "tableau_to_sw": steps_to_sw(D.steps), "walk": tuple(_walk_order(columns, fuss.sign)),
             "filled from": D.steps, "fiber": fiber}
 
 
 def tableau_walk(frames) -> tuple[int, Counterexample | None]:
     """Column filling is injective into valid tableaux; they and their ``red`` and ``psi``
-    pass the constructor; ``tableau_to_sw`` undoes it; the walk is the oracle's column walk
+    pass the constructor; ``tableau_to_sw`` undoes it and passes ``SWWord``, and
+    ``en_from_tableau`` passes ``ENWord``; the walk is the oracle's column walk
     over the oracle's fill, and for sign +1 the fiber one column up (through parse_path)
     is the oracle's cut-by-cut one."""
     fillers: dict = {}  # one for every frame: the columns fix the frame

@@ -93,6 +93,12 @@ class TestParsePath:
         with pytest.raises(ValueError):
             parse_path(make_frame(3, 2), "NNXEE")
 
+    def test_bad_alphabet_and_wrong_length(self):
+        # The letter is named, not the counts, whatever the length.
+        for word in ("NNXE", "NNXEEE"):
+            with pytest.raises(ValueError, match=r"only contain N and E, got \['X'\]"):
+                parse_path(make_frame(3, 2), word)
+
     def test_json_roundtrip(self):
         path = fig_path()
         assert path_from_json(path.to_json()) == path
@@ -246,3 +252,14 @@ class TestEnumerate:
 
     def test_seventy_five(self):
         assert len(frame_paths(7, 5)) == 66
+
+    def test_equals_sorted_prefix_scan_accepts(self):
+        # Paths are built unchecked; the independent prefix scan must accept
+        # exactly them, in lexicographic order with N < E.
+        for frame in coprime_frames(14):
+            m, n = frame.m, frame.n
+            words = ("".join("N" if i in north else "E" for i in range(m + n))
+                     for north in map(set, itertools.combinations(range(m + n), n)))
+            accepted = sorted((w for w in words if prefix_scan(m, n, w) is None),
+                              key=lambda w: w.replace("N", "0").replace("E", "1"))
+            assert [p.steps for p in frame_paths(m, n)] == accepted, (m, n)
