@@ -28,7 +28,8 @@ def random_path(frame: Frame, rng: random.Random) -> DyckPath:
     return _unchecked(DyckPath, frame=frame, steps=_lowest_rank_rotation(m, n, word.decode()))
 
 
-# Layer -> (path -> timed call); inputs are built outside the timer, tableaux fresh each call.
+# Layer -> (path -> timed call); inputs are built outside the timer, paths and tableaux fresh
+# on each call, so that no layer reads rank words that another layer's call has kept.
 LAYERS = {  # invert_fuss, the yardstick, first; the last two are sign +1 only
     "invert_fuss": lambda p: partial(invert_fuss, p),
     "random_path": lambda p: partial(random_path, p.frame, random.Random(p.frame.m)),
@@ -69,7 +70,7 @@ def time_layers(k: int, sign: int, sizes, reps: int, seed: int, layers=("invert_
         for (frame, rng), by_layer in zip(drawn, times):
             path = random_path(frame, rng)
             for name, seconds in by_layer.items():
-                call = LAYERS[name](path)
+                call = LAYERS[name](_unchecked(DyckPath, frame=frame, steps=path.steps))
                 t0 = perf_counter()
                 out = call()
                 seconds.append(perf_counter() - t0)

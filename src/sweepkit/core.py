@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, compress, repeat
 from operator import add, and_, indexOf, lt
 from typing import Iterator, Optional, Sequence
@@ -22,9 +23,11 @@ from .errors import BelowDiagonal, NotCoprime, NotFuss, WrongStepCounts
 NORTH = "N"
 EAST = "E"
 
-# Step word bytes -> 1 at each E, 0 at each N; rank-sort key bits -> letters.
+# Step word bytes -> 1 at each E, 0 at each N; the low two bits of a rank-sort key ->
+# the letter of the low bit (the step's own) or of the high bit (the step before).
 _E_FLAGS = bytes.maketrans(b"NE", b"\0\1")
-_KEY_LETTERS = bytes.maketrans(b"\0\1", b"NE")
+_OWN_LETTERS = bytes.maketrans(b"\0\1\2\3", b"NENE")
+_BEFORE_LETTERS = bytes.maketrans(b"\0\1\2\3", b"NNEE")
 
 
 @dataclass(frozen=True)
@@ -101,23 +104,20 @@ def _lowest_rank_rotation(m: int, n: int, steps: str) -> str:
     return _rotation_at(m, n, steps, min(_prefix_ranks(m, n, steps)))
 
 
-def _rank_keys(frame: Frame, steps: str, at_start: bool = True) -> list[int]:
-    """Keys 2*rank + (1 for East) of the steps, in word order, for ``_rank_sort``.
-
-    A step is ranked by its start, or by its end: the next step's start rank,
-    and for the last step 0, the first start rank.  So end ranks pair each
-    start rank with the letter of the step before, cyclically.
-    """
-    flags = (steps if at_start else steps[-1:] + steps[:-1]).encode().translate(_E_FLAGS)
+def _rank_keys(frame: Frame, steps: str) -> list[int]:
+    """Keys 2*rank + (1 for East) of the steps, in word order, by start rank: the
+    unspelled rank sort of ``dinv`` and of ``reduction.fiber_by_cutting``."""
+    flags = steps.encode().translate(_E_FLAGS)
     return list(map(add, _prefix_ranks(2 * frame.m, 2 * frame.n, steps), flags))
 
 
 def _rank_sort(keys: list[int]) -> str:
-    """Sort ``_rank_keys`` in place and spell their letters.  Both rank sets are the m+n
-    distinct start ranks, so one C-level sort orders the steps and the low bit gives the
-    letter back: the kernel behind sweep, sw_word, en_word and fiber_by_cutting."""
+    """Sort ``_rank_keys`` in place and spell their letters.  The start ranks are
+    distinct, so one C-level sort orders the steps and the low bit gives the letter
+    back: the members of ``reduction.fiber_by_cutting``.  ``DyckPath._rank_words``
+    spells sweep, sw_word and en_word from one sort of its own keys."""
     keys.sort()
-    return bytes(map(and_, keys, repeat(1))).translate(_KEY_LETTERS).decode("ascii")
+    return bytes(map(and_, keys, repeat(1))).translate(_OWN_LETTERS).decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -129,6 +129,10 @@ class DyckPath:
     Cost: two C-level counts plus one Python pass that tests the rank only
     after East steps, since North steps only raise it.  Only on failure is
     the word scanned again, to report the first offending prefix.
+
+    The rank words of a swept path are kept in ``_rank_words``, a cached
+    property and not a field, so equality, hashing, repr, JSON and
+    ``dataclasses.replace`` ignore them; they live as long as the path.
     """
 
     frame: Frame
@@ -154,6 +158,26 @@ class DyckPath:
 
     def to_json(self) -> str:
         return json.dumps({"m": self.frame.m, "n": self.frame.n, "steps": self.steps})
+
+    @cached_property
+    def _rank_words(self) -> tuple[str, str]:
+        """``(image steps, EN letters)``: the letters of the steps in increasing start
+        rank, and beside each the letter of the step before it, cyclically.
+
+        The end rank of a step is the start rank of the next one (for the last step,
+        of the first), so both words order the same m+n distinct start ranks, and
+        one sort of the keys 4*rank + 2*(step before is E) + (step is E) spells both.
+        The two flag bits are one carry-free big-integer sum, since no byte exceeds 3.
+        """
+        m, n, steps = self.frame.m, self.frame.n, self.steps
+        own = steps.encode().translate(_E_FLAGS)
+        before = own[-1:] + own[:-1]
+        flags = int.from_bytes(own, "big") + 2 * int.from_bytes(before, "big")
+        keys = list(map(add, _prefix_ranks(4 * m, 4 * n, steps), flags.to_bytes(len(own), "big")))
+        keys.sort()
+        low = bytes(map(and_, keys, repeat(3)))
+        return (low.translate(_OWN_LETTERS).decode("ascii"),
+                low.translate(_BEFORE_LETTERS).decode("ascii"))
 
 
 def parse_path(frame: Frame, word: str | Sequence[str]) -> DyckPath:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .core import (DyckPath, Frame, RankSequence, _unchecked, area, dinv, enumerate_paths,
                    make_frame, parse_path, rank_complement, rank_sequence)
@@ -62,19 +63,25 @@ class Counterexample:
         return f"{self.suite} on {where}: expected {self.expected!r}, got {self.got!r}"
 
 
+def _outcome(call, *args):
+    """``call(*args)``, or the exception it raises: on a bad input that is the finding."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return exc
+
+
 def _first(suite: str, cases) -> tuple[int, Counterexample | None]:
-    """Run ``(frame, word, expected, fast, *args)`` cases up to the first
-    where ``fast(*args)`` differs from ``expected``; an exception is what it got."""
+    """Run ``(frame, word, reference, fast, *args)`` cases up to the first where
+    ``fast(*args)`` differs from ``reference()``.  An exception on either side is
+    that side's value and equals nothing, so a reference that raises on a bad input
+    names that input too, instead of ending ``verify`` before the later suites."""
     checked = 0
-    for frame, word, expected, fast, *args in cases:
+    for frame, word, reference, fast, *args in cases:
         checked += 1
-        try:
-            got = fast(*args)
-            if got == expected:
-                continue
-        except Exception as exc:  # the input that makes fast code raise is the finding
-            got = exc
-        return checked, Counterexample(suite, frame, word, expected, got)
+        expected, got = _outcome(reference), _outcome(fast, *args)
+        if got != expected:
+            return checked, Counterexample(suite, frame, word, expected, got)
     return checked, None
 
 
@@ -97,6 +104,15 @@ def _transport(D: DyckPath, preimages: dict[str, str], last: bool) -> dict:
             "parse_path(bipartite_invert)": parse_path(frame, preimage.steps).steps}
 
 
+def _transport_expected(D: DyckPath, count: int | None) -> dict:
+    cells = oracle_dinv(D)
+    return {"path count": count, "dinv": cells, "area(sweep)": cells, "sweep preimage": D.steps,
+            "parse_path(enumerate_paths)": True, "parse_path(sweep)": True,
+            "SWWord(sw_word)": True, "ENWord(en_word)": True,
+            "parse_path(rank_complement)": True, "RankSequence(rank_sequence)": True,
+            "parse_path(bipartite_invert)": D.steps}
+
+
 def _transport_cases(frames):
     preimages: dict[str, str] = {}  # one for every frame: a word fixes its frame
     for frame in frames:
@@ -105,14 +121,8 @@ def _transport_cases(frames):
             # The count is checked on the frame's last path, so that a path the
             # enumeration got wrong is named before the count it throws off.
             last = D is paths[-1]
-            cells = oracle_dinv(D)
-            expected = {"path count": len(paths) if last else None, "dinv": cells,
-                        "area(sweep)": cells, "sweep preimage": D.steps,
-                        "parse_path(enumerate_paths)": True, "parse_path(sweep)": True,
-                        "SWWord(sw_word)": True, "ENWord(en_word)": True,
-                        "parse_path(rank_complement)": True, "RankSequence(rank_sequence)": True,
-                        "parse_path(bipartite_invert)": D.steps}
-            yield frame, D.steps, expected, _transport, D, preimages, last
+            reference = partial(_transport_expected, D, len(paths) if last else None)
+            yield frame, D.steps, reference, _transport, D, preimages, last
 
 
 def sweep_transport(frames) -> tuple[int, Counterexample | None]:
@@ -127,11 +137,14 @@ def _inversion(D: DyckPath) -> dict:
     return {"invert_fuss": preimage.steps, "sweep(invert_fuss)": sweep(preimage).steps}
 
 
+def _inversion_expected(D: DyckPath) -> dict:
+    return {"invert_fuss": oracle_invert_sweep(D).steps, "sweep(invert_fuss)": D.steps}
+
+
 def fuss_inversion(frames) -> tuple[int, Counterexample | None]:
     """The linear inversion equals the brute search and is a sweep preimage."""
     return _first("Fuss inversion", (
-        (frame, D.steps, {"invert_fuss": oracle_invert_sweep(D).steps,
-                          "sweep(invert_fuss)": D.steps}, _inversion, D)
+        (frame, D.steps, partial(_inversion_expected, D), _inversion, D)
         for frame, D in _fuss_paths(frames)))
 
 
@@ -174,7 +187,7 @@ def tableau_walk(frames) -> tuple[int, Counterexample | None]:
     is the oracle's cut-by-cut one."""
     fillers: dict = {}  # one for every frame: the columns fix the frame
     return _first("tableau and walk", (
-        (frame, D.steps, _tableau_expected(D), _tableau, D, fillers)
+        (frame, D.steps, partial(_tableau_expected, D), _tableau, D, fillers)
         for frame, D in _fuss_paths(frames)))
 
 
@@ -190,5 +203,5 @@ def _routes(k: int, n: int):
 def catalan_routes(frames) -> tuple[int, Counterexample | None]:
     """On every sign +1 Fuss frame the three routes agree and count its paths."""
     return _first("Catalan routes", (
-        (frame, "", path_count(frame), _routes, frame.fuss.k, frame.n)
+        (frame, "", partial(path_count, frame), _routes, frame.fuss.k, frame.n)
         for frame in frames if frame.fuss is not None and frame.fuss.sign > 0))

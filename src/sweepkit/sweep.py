@@ -20,8 +20,6 @@ from .core import (
     Frame,
     RankSequence,
     _E_FLAGS,
-    _rank_keys,
-    _rank_sort,
     _unchecked,
     area,
     parse_path,
@@ -89,22 +87,23 @@ class ENWord:
 
 
 def sw_word(path: DyckPath) -> SWWord:
-    """S/W at each rank starting a North/East step; unchecked: it spells the sweep image."""
+    """S/W at each rank starting a North/East step, read off the path's kept rank words;
+    unchecked: it spells the sweep image."""
     image = sweep(path)
     return _unchecked(SWWord, frame=path.frame, letters=steps_to_sw(image.steps), _path=image)
 
 
 def en_word(path: DyckPath) -> ENWord:
-    """N/E at each rank ending a North/East step; unchecked: read backwards, it is
-    the SW word of the swept rank complement."""
-    letters = _rank_sort(_rank_keys(path.frame, path.steps, at_start=False))
-    return _unchecked(ENWord, frame=path.frame, letters=letters)
+    """N/E at each rank ending a North/East step, read off the path's kept rank words;
+    unchecked: read backwards, it is the SW word of the swept rank complement."""
+    return _unchecked(ENWord, frame=path.frame, letters=path._rank_words[1])
 
 
 def sweep(path: DyckPath) -> DyckPath:
-    """The sweep image, the SW word drawn as steps; unchecked: sweep maps D_{m,n} onto itself."""
-    steps = _rank_sort(_rank_keys(path.frame, path.steps))
-    return _unchecked(DyckPath, frame=path.frame, steps=steps)
+    """The sweep image, the SW word drawn as steps, read off the path's kept rank words
+    (``DyckPath._rank_words``: one rank sort serves sweep, sw_word and en_word); a new
+    path each call, unchecked: sweep maps D_{m,n} onto itself."""
+    return _unchecked(DyckPath, frame=path.frame, steps=path._rank_words[0])
 
 
 def bipartite_invert(sw: SWWord, en: ENWord) -> tuple[DyckPath, RankSequence]:

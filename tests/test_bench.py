@@ -7,6 +7,7 @@ import pytest
 from sweepkit import bench, make_frame, parse_path, path_count
 from sweepkit.bench import random_path, time_layers
 from sweepkit.cli import main
+from sweepkit.sweep import en_word, sw_word, sweep
 from helpers import coprime_frames, frame_paths
 
 
@@ -51,6 +52,21 @@ def test_time_layers_times_the_seeded_paths(monkeypatch):
         rng = random.Random(f"5:2:{n}")
         drawn[n] = [random_path(make_frame(2 * n + 1, n), rng) for _ in range(2)]
     assert seen == [drawn[40][0], drawn[80][0], drawn[40][1], drawn[80][1]]
+
+
+def test_time_layers_times_every_layer_on_a_fresh_path(monkeypatch):
+    # sweep, sw_word and en_word keep their rank words on the path, so a layer
+    # timed on a path that another layer has swept would time a cache hit.
+    cached_at_call = []
+
+    def recording(layer):
+        return lambda p: lambda: (cached_at_call.append("_rank_words" in vars(p)), layer(p))
+
+    for name, layer in (("sweep", sweep), ("sw_word", sw_word), ("en_word", en_word)):
+        monkeypatch.setitem(bench.LAYERS, name, recording(layer))
+    time_layers(k=2, sign=1, sizes=[10, 20], reps=2, seed=0,
+                layers=("sweep", "sw_word", "en_word"))
+    assert cached_at_call == [False] * 12  # 3 layers x 2 sizes x 2 reps
 
 
 @pytest.mark.parametrize("sign", [1, -1])

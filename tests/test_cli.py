@@ -15,6 +15,7 @@ from sweepkit import (
     BelowDiagonal,
     DyckPath,
     en_word,
+    enumerate_paths,
     fiber_by_cutting,
     fiber_count,
     make_frame,
@@ -346,6 +347,27 @@ class TestVerify:
         lines, failed = out.splitlines(), "tableau invariants and walk vs column walk: FAILED"
         assert [line for line in lines if "FAILED" in line] == [failed]
         assert lines[lines.index(failed) + 1] == f"  counterexample: {counterexample}"
+
+    def test_planted_path_fails_every_suite_that_reads_it(self, capsys, monkeypatch):
+        # A path below the diagonal makes the references raise too (the brute
+        # search finds no preimage, the oracle fill stalls): each suite names
+        # it, and the suites after the first failure still run.
+        def planted(frame):
+            yield _unchecked(DyckPath, frame=frame, steps="E" * frame.m + "N" * frame.n)
+            yield from enumerate_paths(frame)
+
+        monkeypatch.setattr(sweepkit.suites, "enumerate_paths", planted)
+        code, out, err = run(capsys, "verify", "--max-steps", "6")
+        assert (code, err) == (2, "")
+        lines = out.splitlines()
+        labels = ["sweep bijection and dinv->area transport", "linear inversion vs enumeration",
+                  "tableau invariants and walk vs column walk",
+                  "q,t-Catalan routes and path counts"]
+        assert [[line for line in lines if line.startswith(label + ":")] for label in labels] == [
+            [f"{label}: FAILED"] for label in labels[:3]] + [[f"{labels[3]}: 5 frames ok"]]
+        counterexamples = [line for line in lines if line.startswith("  counterexample: ")]
+        assert len(counterexamples) == 3
+        assert all(" on (1, 1) EN: expected " in line for line in counterexamples)
 
 
 FUZZ_COMMANDS = [

@@ -1,6 +1,10 @@
+import dataclasses
+import pickle
+
 import pytest
 
 from sweepkit import (
+    DyckPath,
     ENWord,
     InconsistentPair,
     NotFuss,
@@ -83,7 +87,7 @@ class TestWords:
         # i-th North end rank = i-th South start rank + m, and the East
         # analogue with -n, on every path of every small frame; and the
         # exact words: the letters sorted by start rank (sweep, sw_word) or
-        # by end rank (en_word).
+        # by end rank (en_word), whichever of them a path is asked first.
         for frame in coprime_frames(11):
             m, n = frame.m, frame.n
             for path in frame_paths(m, n):
@@ -94,12 +98,30 @@ class TestWords:
                 assert sweep(path).steps == by_start
                 assert sw_word(path).letters == steps_to_sw(by_start)
                 assert en_word(path).letters == by_end
+                # frame_paths is cached, so its paths may hold rank words already.
+                fresh = DyckPath(frame, path.steps)
+                assert en_word(fresh).letters == by_end
+                assert sweep(fresh).steps == by_start
+                assert sw_word(fresh).letters == steps_to_sw(by_start)
                 s_ranks = sorted(r for r, ch in zip(starts, path.steps) if ch == "N")
                 n_ranks = sorted(r for r, ch in zip(ends, path.steps) if ch == "N")
                 w_ranks = sorted(r for r, ch in zip(starts, path.steps) if ch == "E")
                 e_ranks = sorted(r for r, ch in zip(ends, path.steps) if ch == "E")
                 assert n_ranks == [r + m for r in s_ranks]
                 assert e_ranks == [r - n for r in w_ranks]
+
+    def test_kept_rank_words_stay_out_of_value_semantics(self):
+        frame = make_frame(*FIG_FRAME)
+        swept, never = DyckPath(frame, FIG_WORD), DyckPath(frame, FIG_WORD)
+        sweep(swept)
+        assert "_rank_words" in vars(swept) and "_rank_words" not in vars(never)
+        assert swept == never and hash(swept) == hash(never)
+        assert repr(swept) == repr(never) and swept.to_json() == never.to_json()
+        replaced = dataclasses.replace(swept)
+        assert replaced == never and "_rank_words" not in vars(replaced)
+        assert pickle.loads(pickle.dumps(swept)) == never
+        # A new image each call: no path keeps another path alive.
+        assert sweep(swept) is not sweep(swept)
 
 
 class TestSweep:
