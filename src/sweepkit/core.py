@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import accumulate, compress, repeat
 from operator import add, and_, indexOf, lt
@@ -81,6 +81,11 @@ def _unchecked(cls, **fields):
     return value
 
 
+def _field_state(self) -> dict:
+    """``__getstate__`` of a dataclass with kept caches: its fields alone, for pickle and copy."""
+    return {f.name: self.__dict__[f.name] for f in fields(self)}
+
+
 def _prefix_ranks(m: int, n: int, steps: str) -> Iterator[int]:
     """Rank of the start vertex of each step of a word over {N, E}, lazily: the one rank
     walk, beside DyckPath's validation loop and the walk of ``sweep.bipartite_invert``."""
@@ -130,13 +135,14 @@ class DyckPath:
     after East steps, since North steps only raise it.  Only on failure is
     the word scanned again, to report the first offending prefix.
 
-    The rank words of a swept path are kept in ``_rank_words``, a cached
-    property and not a field, so equality, hashing, repr, JSON and
-    ``dataclasses.replace`` ignore them; they live as long as the path.
+    The rank words of a swept path are kept in ``_rank_words``, a cached property
+    and not a field, so equality, hashing, repr, JSON, ``dataclasses.replace``,
+    pickle and ``copy`` ignore them; they live as long as the path.
     """
 
     frame: Frame
     steps: str
+    __getstate__ = _field_state
 
     def __post_init__(self):
         m, n = self.frame.m, self.frame.n
@@ -242,15 +248,16 @@ def rank_sequence(path: DyckPath) -> RankSequence:
                       values=tuple(sorted(_prefix_ranks(path.frame.m, path.frame.n, path.steps))))
 
 
-def _word_area(frame: Frame, steps: str) -> int:
-    """area of a valid step word of the frame, in one pass.
+def _east_area(frame: Frame, east_flags) -> int:
+    """area of a path of the frame from its E flags (1 at each E, 0 at each N), in one pass.
 
-    On a valid word the East step of column x sits at height
-    h >= ceil(n(x+1)/m), so area is the sum of the East-step heights minus
-    sum_{x=1..m} ceil(nx/m) = (m-1)(n-1)/2 + m + n - 1 (m, n coprime).
+    On a path the E of column x, at position p (from 0), sits at height
+    p - x >= ceil(n(x+1)/m), so area is the sum of the E positions, less m(m-1)/2
+    for the x's, less sum_{x=1..m} ceil(nx/m) = (m-1)(n-1)/2 + m + n - 1 (m, n coprime).
     """
-    heights = accumulate(map(len, steps.split(EAST)[:-1]))
-    return sum(heights) - frame.statistic_bound() - frame.size + 1
+    m = frame.m
+    east_positions = sum(compress(range(frame.size), east_flags))
+    return east_positions - m * (m - 1) // 2 - frame.statistic_bound() - frame.size + 1
 
 
 def area(path: DyckPath) -> int:
@@ -259,7 +266,7 @@ def area(path: DyckPath) -> int:
     Cells cut by the diagonal are excluded; cell (x, y) lies weakly above
     the diagonal iff m*y >= n*(x+1).
     """
-    return _word_area(path.frame, path.steps)
+    return _east_area(path.frame, path.steps.encode().translate(_E_FLAGS))
 
 
 def coarea(path: DyckPath) -> int:
@@ -277,18 +284,14 @@ def dinv(path: DyckPath) -> int:
 
     The sweep image's step word is the path's letters in increasing
     start-rank order, so dinv is one rank sort, O((m+n) log(m+n)) with no
-    image path built.  The sorted keys are not spelled: their low bits mark
-    the image's E's, whose heights (N's before them) sum to the sum of their
-    positions minus m(m-1)/2, and area is that sum less the bound of
-    ``_word_area``.  The O(mn) cell rule this identity replaces is kept as
-    ``oracle.oracle_dinv``, and the tests check the two against each other
-    exhaustively.
+    image path built.  The sorted keys are not spelled: their low bits are the
+    image's E flags, which ``_east_area`` turns into its area.  The O(mn) cell
+    rule this identity replaces is kept as ``oracle.oracle_dinv``, and the
+    tests check the two against each other exhaustively.
     """
-    frame, m = path.frame, path.frame.m
-    keys = _rank_keys(frame, path.steps)
+    keys = _rank_keys(path.frame, path.steps)
     keys.sort()
-    east_positions = sum(compress(range(frame.size), map(and_, keys, repeat(1))))
-    return east_positions - m * (m - 1) // 2 - frame.statistic_bound() - frame.size + 1
+    return _east_area(path.frame, map(and_, keys, repeat(1)))
 
 
 def rank_complement(path: DyckPath) -> DyckPath:

@@ -16,10 +16,11 @@ order they were started: the i-th W of a column always comes before the
 i-th W of every column started after it.  Hence the j-th top and the j-th
 foot share a column.  ``_fill`` therefore keeps no per-column list, only the
 label above each label: following it k times up from the feet reads every
-column off at once, and one fill serves both the inversion and the tableau.
-A tableau is validated by one such fill of its first-row word, after the
-rule that its (k, sign) be its frame's own Fuss classification; the
-constructor runs it, so every ``FussTableau`` is the filling of a path.
+column off at once, and one fill serves both the inversion and ``_tableau``,
+the one builder of a tableau from a path word.  A tableau is valid iff its
+(k, sign) is its frame's own Fuss classification, its first-row word is a
+path, and ``_tableau`` of that word is the tableau; the constructor checks
+this, so every ``FussTableau`` is the filling of a path.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import cached_property, partial
 from itertools import chain, zip_longest
 from operator import countOf, is_not
 
-from .core import DyckPath, Frame, Fuss, _prefix_ranks, _unchecked, make_frame
+from .core import DyckPath, Frame, Fuss, _field_state, _prefix_ranks, _unchecked, make_frame
 from .errors import NotFuss, NotSingleCycle, RowConstraintViolated, SweepkitError
 from .sweep import SWWord, ENWord, steps_to_sw
 
@@ -60,15 +61,16 @@ class FussTableau:
 
     Every instance is valid: the constructor checks the shape, then runs
     ``validate``.  The first walk is kept in ``_walked``, a cached property
-    and not a field, so equality, hashing, repr, JSON and
-    ``dataclasses.replace`` ignore it; a walked tableau keeps its order of
-    m+n labels alive as long as it lives.
+    and not a field, so equality, hashing, repr, JSON, ``dataclasses.replace``,
+    pickle and ``copy`` ignore it; a walked tableau keeps its order of m+n
+    labels alive as long as it lives.
     """
 
     k: int
     n: int
     sign: int
     columns: tuple[tuple[int, ...], ...]
+    __getstate__ = _field_state
 
     def __post_init__(self) -> None:
         """ValueError unless a path fills this shape (n columns of height k+1,
@@ -128,25 +130,28 @@ class FussTableau:
         return tuple(c[-1] for c in self.completed_columns())
 
     def validate(self) -> None:
-        """Check that a tableau of legal shape is the column filling of some path.
+        """Check that a tableau of legal shape equals the tableau its first-row word fills.
 
         (k, sign) must be the Fuss classification of the frame (kn + sign, n):
         for n <= 2 a sign -1 frame classifies as sign +1 with k - 1, and a
         tableau of the same shape would then encode a path of that other
         classification.  The rest is one fill: N at the first-row labels (each
         in 1 .. m+n, as they index the word) and E elsewhere must spell a path
-        of the frame whose completed columns, read by following ``up`` from the
-        feet, are this tableau's.  Linear; raises ValueError on violation.  The
-        constructor runs it, before any walk; the round trip through a second
-        tableau is kept as ``oracle.oracle_validate``.
+        of the frame, and ``_tableau`` of that path must be this tableau.
+        Linear; raises ValueError on violation.  The constructor runs it, before
+        any walk; the round trip through a second tableau is kept as
+        ``oracle.oracle_validate``.
         """
-        k, sign, frame = self.k, self.sign, _fuss_frame(self.k, self.n, self.sign)
-        steps = _first_row_word(self.size, self.first_row())
+        frame, size, first_row = _fuss_frame(self.k, self.n, self.sign), self.size, self.first_row()
+        if min(first_row) < 1 or max(first_row) > size:
+            bad = next(e for e in first_row if not 1 <= e <= size)
+            raise ValueError(f"first-row label {bad} lies outside 1 .. {size}")
+        steps = _first_row_word(size, first_row)
         try:
             DyckPath(frame, steps)
         except SweepkitError as exc:
             raise ValueError(f"tableau encodes no path: {exc}") from exc
-        if _filled_columns(steps, k, sign) != self.completed_columns():
+        if _tableau(frame, steps).columns != self.columns:
             raise ValueError("tableau is not the column filling of its first row")
 
     def to_json(self) -> str:
@@ -221,6 +226,11 @@ def _fuss_params(frame: Frame) -> tuple[int, int]:
     return frame.fuss.k, frame.fuss.sign
 
 
+def _require_plus(T: FussTableau, op: str) -> None:
+    if T.sign != +1:
+        raise ValueError(f"{op} is defined for sign +1 tableaux only")
+
+
 def _fill(steps: str, k: int, sign: int) -> tuple[list[int], list[int], list[int]]:
     """Column filling of a valid Fuss path word, by label; O(m+n).
 
@@ -233,13 +243,14 @@ def _fill(steps: str, k: int, sign: int) -> tuple[list[int], list[int], list[int
     top and the j-th foot share a column.  A label's row, ``depth``, is
     needed only to tell when its column is full.
 
-    Every caller passes a path word, so no E finds the queue empty: after a
-    N's it empties only once all a*k cells below their tops are filled, and
-    the prefix ending at the e-th E has rank a*m - e*n >= 0.  For sign +1
-    that gives e <= a*k + a/n, so e <= a*k while a < n, and at a = n only the
-    last E, never filled, exceeds n*k.  For sign -1 it gives e <= a*k - a/n
-    < a*k (a >= 1, as a path starts with N), and the two virtual E's fill
-    the last two of the n*k cells.  ``oracle._fill_columns`` keeps the check.
+    Both callers, ``_tableau`` and ``invert_fuss``, pass a path word, so no E
+    finds the queue empty: after a N's it empties only once all a*k cells
+    below their tops are filled, and the prefix ending at the e-th E has rank
+    a*m - e*n >= 0.  For sign +1 that gives e <= a*k + a/n, so e <= a*k while
+    a < n, and at a = n only the last E, never filled, exceeds n*k.  For
+    sign -1 it gives e <= a*k - a/n < a*k (a >= 1, as a path starts with N),
+    and the two virtual E's fill the last two of the n*k cells.
+    ``oracle._fill_columns`` keeps the check.
     """
     size = len(steps)
     full = k + 1
@@ -272,21 +283,16 @@ def _fill(steps: str, k: int, sign: int) -> tuple[list[int], list[int], list[int
     return up, tops, feet
 
 
-def _filled_columns(steps: str, k: int, sign: int) -> tuple[tuple[int, ...], ...]:
-    """Completed columns of a valid Fuss path word: one fill, then each foot
-    followed up k times, one C-level pass over the n columns per row."""
+def _tableau(frame: Frame, steps: str) -> FussTableau:
+    """The one builder of a tableau from a path word of a Fuss frame: one ``_fill``,
+    then each foot followed up k times, one C-level pass over the n columns per row;
+    unchecked, as the filling of a path is by definition a tableau of T^k_n."""
+    k, sign = _fuss_params(frame)
     up, _, feet = _fill(steps, k, sign)
     rows = [feet]
     for _ in range(k):
         rows.append(list(map(up.__getitem__, rows[-1])))
-    return tuple(zip(*reversed(rows)))
-
-
-def _tableau(frame: Frame, steps: str) -> FussTableau:
-    """Tableau of a valid step word of a Fuss frame, from its completed columns;
-    unchecked, as the filling of a path is by definition a tableau of T^k_n."""
-    k, sign = _fuss_params(frame)
-    columns = _filled_columns(steps, k, sign)
+    columns = tuple(zip(*reversed(rows)))
     if sign < 0:
         # The virtual labels m+n, m+n+1 end the last one or two columns.
         size = frame.size
@@ -305,20 +311,12 @@ def path_tableau(path: DyckPath) -> FussTableau:
 
 
 def _first_row_word(size: int, first_row) -> str:
-    """N at the first-row labels, E elsewhere, in a word of the given size;
-    ValueError naming the first label outside 1 .. size, before it indexes the word."""
-    if min(first_row) < 1 or max(first_row) > size:
-        bad = next(e for e in first_row if not 1 <= e <= size)
-        raise ValueError(f"first-row label {bad} lies outside 1 .. {size}")
+    """N at the first-row labels, E elsewhere, in a word of the given size; each
+    label must lie in 1 .. size, which every caller has made sure of."""
     letters = bytearray(b"E") * size
     for t in first_row:
         letters[t - 1] = 78  # ord("N")
     return letters.decode("ascii")
-
-
-def _first_row_sw(frame: Frame, first_row) -> SWWord:
-    """S at the first-row labels, W elsewhere; checked, for a first row from outside."""
-    return SWWord(frame, steps_to_sw(_first_row_word(frame.size, first_row)))
 
 
 def tableau_to_sw(T: FussTableau) -> SWWord:
@@ -409,8 +407,7 @@ def reduced_walk(T: FussTableau) -> tuple[int, ...]:
     Sign +1 with n >= 2 only; starts at the smallest remaining label and is
     the full walk with the column-1 segment spliced out.
     """
-    if T.sign < 0:
-        raise ValueError("reduced walk requires a sign +1 tableau")
+    _require_plus(T, "reduced_walk")
     if T.n < 2:
         raise ValueError("reduced walk needs at least two columns")
     column1 = set(T.columns[0])
@@ -443,47 +440,51 @@ def invert_fuss(path: DyckPath) -> DyckPath:
 
 
 def tableau_from_first_row(k: int, n: int, t) -> FussTableau:
-    """The unique sign +1 tableau with the given first row."""
+    """The unique sign +1 tableau with the given first row.
+
+    The row checks are the Dyck condition on the first-row word (N at the
+    t_j, E elsewhere, m+n letters), so ``_tableau`` fills it unchecked.  The
+    rank falls only at E's, and after the last N to the final 0, so the word
+    is a path iff the prefix before each N has rank >= 0.  Before the j-th N
+    come j-1 N's and t_j - j E's, rank (j-1)m - (t_j - j)n, which is >= 0 iff
+    t_j - j <= (j-1)(k + 1/n), that is (as j-1 < n) iff t_j <= 1 + (j-1)(k+1).
+    """
     frame, t = _fuss_frame(k, n, +1), tuple(t)
     if set(map(type, t)) - {int}:
         raise ValueError("first-row entries must be integers")
     if len(t) != n:
         raise ValueError(f"expected {n} first-row entries, got {len(t)}")
-    for j, tj in enumerate(t, start=1):
-        upper = 1 + (j - 1) * (k + 1)
-        if tj > upper or (j == 1 and tj != 1):
+    for j, (before, tj) in enumerate(zip((0, *t), t), start=1):
+        if not before < tj <= 1 + (j - 1) * (k + 1):
             raise RowConstraintViolated(j)
-        if j > 1 and tj <= t[j - 2]:
-            raise RowConstraintViolated(j)
-    return fill_tableau(_first_row_sw(frame, t))
+    return _tableau(frame, _first_row_word(frame.size, t))
 
 
 def tableau_from_bottom_row(k: int, n: int, b) -> FussTableau:
     """The unique sign +1 tableau with the given bottom row.
 
-    Built through the half-turn involution: the mirror's first row is the
-    reversed complement of b, filled (which checks k), then mirrored back.
+    Built through the half-turn involution ``psi``: the mirror's first row is
+    t_i = (k+1)n + 1 - b_{n+1-i}, and the bottom-row checks are the checks of
+    ``tableau_from_first_row`` on it: t_1 = 1 iff b_n = (k+1)n, t increases iff
+    b does, and t_i <= 1 + (i-1)(k+1) iff b_j >= j(k+1) for j = n+1-i.  So the
+    mirror's word is a path, filled unchecked by ``_tableau`` and turned back.
     """
-    b = tuple(b)
+    frame, b = _fuss_frame(k, n, +1), tuple(b)
     if set(map(type, b)) - {int}:
         raise ValueError("bottom-row entries must be integers")
     total = (k + 1) * n
     if len(b) != n:
         raise ValueError(f"expected {n} bottom-row entries, got {len(b)}")
-    for j, bj in enumerate(b, start=1):
-        if bj < j * (k + 1) or (j == n and bj != total):
+    for j, (before, bj) in enumerate(zip((0, *b), b), start=1):
+        if bj <= before or bj < j * (k + 1) or (j == n and bj != total):
             raise RowConstraintViolated(j)
-        if j > 1 and bj <= b[j - 2]:
-            raise RowConstraintViolated(j)
-    mirror_top = tuple(total + 1 - bj for bj in reversed(b))
-    return psi(tableau_from_first_row(k, n, mirror_top))
+    return psi(_tableau(frame, _first_row_word(frame.size, [total + 1 - bj for bj in b])))
 
 
 def psi(T: FussTableau) -> FussTableau:
     """Half-turn involution: entry (i, j) becomes (k+1)n+1 - T[k+2-i, n+1-j];
     unchecked, as the half-turn is an involution of T^k_n (the paper's psi)."""
-    if T.sign != +1:
-        raise ValueError("psi is defined for sign +1 tableaux only")
+    _require_plus(T, "psi")
     total = (T.k + 1) * T.n
     flipped = tuple(
         tuple(total + 1 - e for e in reversed(col)) for col in reversed(T.columns)

@@ -34,8 +34,9 @@ from .errors import (
     SweepkitError,
     TooNarrow,
 )
-from .fuss import FussTableau, path_tableau
+from .fuss import FussTableau, _require_plus, path_tableau
 from .qtcatalan import path_count
+from .reduction import cut_and_lift
 from .sweep import S_STEP, W_STEP, ENWord, SWWord, sweep
 
 
@@ -258,8 +259,6 @@ def oracle_red(T: FussTableau) -> FussTableau:
     """``reduction.red`` by one bisection per entry: each entry of columns
     2 .. n drops by the number of column-1 entries below it.  The loop that
     the shift table of ``red`` replaced, kept as its reference; unchecked."""
-    from .reduction import _require_plus
-
     _require_plus(T, "oracle_red")
     if T.n < 2:
         raise TooNarrow("cannot remove the only column")
@@ -288,8 +287,6 @@ def oracle_fiber_by_cutting(T_reduced: FussTableau) -> list[DyckPath]:
     not by the walk kernel.  The loop that the one rank sort of
     ``fiber_by_cutting`` replaced, kept as its reference.
     """
-    from .reduction import _require_plus, cut_and_lift
-
     _require_plus(T_reduced, "oracle_fiber_by_cutting")
     tops = set(T_reduced.first_row())
     order = _walk_order(T_reduced.columns, +1)

@@ -73,8 +73,7 @@ class QTPolynomial:
         if not self.terms:
             return "0"
         parts = []
-        for a, b in sorted(self.terms, key=lambda ab: (ab[0] + ab[1], ab[0]), reverse=True):
-            c = self.terms[(a, b)]
+        for a, b, c in reversed(self.sorted_terms()):
             factors = []
             if c != 1 or (a == 0 and b == 0):
                 factors.append(str(c))

@@ -28,13 +28,8 @@ from .core import (
 )
 from .errors import NotFuss, RankNotPresent, RankTooLarge, TooNarrow
 # psi lives in fuss and stays importable from here.
-from .fuss import FussTableau, invert_fuss, psi, tableau_from_bottom_row
+from .fuss import FussTableau, _require_plus, invert_fuss, psi, tableau_from_bottom_row
 from .sweep import sweep
-
-
-def _require_plus(T: FussTableau, op: str) -> None:
-    if T.sign != +1:
-        raise ValueError(f"{op} is defined for sign +1 tableaux only")
 
 
 def red(T: FussTableau) -> FussTableau:
@@ -163,6 +158,8 @@ def reduced_path_of(path: DyckPath) -> DyckPath:
     Geometric form: strip the sweep preimage's leading North step and
     trailing k East steps, then rotate the remainder to start at its
     lowest-rank vertex; the result is the reduced frame's sweep preimage.
+    The remainder has n-1 N's and k(n-1)+1 E's, so that rotation is a path
+    of the reduced frame (the cycle lemma) and is built unchecked.
     """
     frame = path.frame
     if frame.fuss is None or frame.fuss.sign != +1:
@@ -174,4 +171,4 @@ def reduced_path_of(path: DyckPath) -> DyckPath:
     middle = preimage.steps[1 : len(preimage.steps) - k]
     reduced_frame = make_frame(k * (frame.n - 1) + 1, frame.n - 1)
     rotated = _lowest_rank_rotation(reduced_frame.m, reduced_frame.n, middle)
-    return sweep(parse_path(reduced_frame, rotated))
+    return sweep(_unchecked(DyckPath, frame=reduced_frame, steps=rotated))

@@ -16,8 +16,8 @@ from functools import partial
 
 from .core import (DyckPath, Frame, RankSequence, _unchecked, area, dinv, enumerate_paths,
                    make_frame, parse_path, rank_complement, rank_sequence)
-from .fuss import (FussTableau, en_from_tableau, fill_tableau, invert_fuss, psi, tableau_to_sw,
-                   walk)
+from .fuss import (FussTableau, en_from_tableau, fill_tableau, invert_fuss, psi,
+                   tableau_from_bottom_row, tableau_from_first_row, tableau_to_sw, walk)
 from .oracle import (
     _fill_columns,
     _walk_order,
@@ -25,7 +25,7 @@ from .oracle import (
     oracle_fiber_by_cutting,
     oracle_invert_sweep,
 )
-from .reduction import fiber_by_cutting, red
+from .reduction import fiber_by_cutting, red, reduced_path_of
 from .qtcatalan import CATALAN_ROUTES, path_count
 from .sweep import ENWord, SWWord, bipartite_invert, en_word, steps_to_sw, sw_word, sweep
 
@@ -158,11 +158,18 @@ def _tableau(D: DyckPath, fillers: dict) -> dict:
     plus = T.sign > 0
     fiber = [parse_path(P.frame, P.steps).steps for P in fiber_by_cutting(T)] if plus else None
     sw, en = tableau_to_sw(T), en_from_tableau(T)
+    reduced = plus and T.n >= 2 and reduced_path_of(D)
     return {"SWWord(tableau_to_sw)": SWWord(sw.frame, sw.letters).as_path() == sw.as_path(),
             "ENWord(en_from_tableau)": ENWord(en.frame, en.letters) == en,
             "FussTableau(fill_tableau)": _rebuilt(T),
             "FussTableau(red)": _rebuilt(plus and T.n >= 2 and red(T)),
             "FussTableau(psi)": _rebuilt(plus and psi(T)),
+            "FussTableau(tableau_from_first_row)":
+                _rebuilt(plus and tableau_from_first_row(T.k, T.n, T.first_row())),
+            "FussTableau(tableau_from_bottom_row)":
+                _rebuilt(plus and tableau_from_bottom_row(T.k, T.n, T.bottom_row())),
+            "parse_path(reduced_path_of)":
+                not reduced or parse_path(reduced.frame, reduced.steps) == reduced,
             "tableau_to_sw": sw.letters, "walk": walk(T).order,
             "filled from": fillers.setdefault(T.columns, D.steps), "fiber": fiber}
 
@@ -175,16 +182,19 @@ def _tableau_expected(D: DyckPath) -> dict:
         fiber = [P.steps for P in oracle_fiber_by_cutting(reference)]
     return {"SWWord(tableau_to_sw)": True, "ENWord(en_from_tableau)": True,
             "FussTableau(fill_tableau)": True, "FussTableau(red)": True, "FussTableau(psi)": True,
+            "FussTableau(tableau_from_first_row)": True,
+            "FussTableau(tableau_from_bottom_row)": True, "parse_path(reduced_path_of)": True,
             "tableau_to_sw": steps_to_sw(D.steps), "walk": tuple(_walk_order(columns, fuss.sign)),
             "filled from": D.steps, "fiber": fiber}
 
 
 def tableau_walk(frames) -> tuple[int, Counterexample | None]:
-    """Column filling is injective into valid tableaux; they and their ``red`` and ``psi``
-    pass the constructor; ``tableau_to_sw`` undoes it and passes ``SWWord``, and
-    ``en_from_tableau`` passes ``ENWord``; the walk is the oracle's column walk
-    over the oracle's fill, and for sign +1 the fiber one column up (through parse_path)
-    is the oracle's cut-by-cut one."""
+    """Column filling is injective into valid tableaux; they, their ``red`` and ``psi``,
+    and the row constructors' tableaux from their first and bottom rows pass the
+    constructor, and ``reduced_path_of`` passes ``parse_path``; ``tableau_to_sw`` undoes
+    the filling and passes ``SWWord``, and ``en_from_tableau`` passes ``ENWord``; the walk
+    is the oracle's column walk over the oracle's fill, and for sign +1 the fiber one
+    column up (through parse_path) is the oracle's cut-by-cut one."""
     fillers: dict = {}  # one for every frame: the columns fix the frame
     return _first("tableau and walk", (
         (frame, D.steps, partial(_tableau_expected, D), _tableau, D, fillers)

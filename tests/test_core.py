@@ -189,10 +189,21 @@ class TestStatistics:
 
     def test_bounds(self):
         for frame in coprime_frames(11):
+            m, n = frame.m, frame.n
             bound = frame.statistic_bound()
-            for path in frame_paths(frame.m, frame.n):
+            for path in frame_paths(m, n):
                 assert 0 <= area(path) <= bound
                 assert 0 <= dinv(path) <= bound
+                # The docstring rule, cell by cell: each cell (x, y) below the E step
+                # of column x, at height h, counts iff m*y >= n*(x+1).
+                cells = h = x = 0
+                for ch in path.steps:
+                    if ch == "N":
+                        h += 1
+                    else:
+                        cells += sum(m * y >= n * (x + 1) for y in range(h))
+                        x += 1
+                assert area(path) == cells
 
     def test_coarea(self):
         assert coarea(parse_path(make_frame(3, 1), "NEEE")) == 0

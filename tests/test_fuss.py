@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import itertools
 import json
+import pickle
 
 import pytest
 
@@ -268,10 +270,30 @@ class TestRowConstructors:
     def test_reconstruct_every_tableau(self):
         for frame in fuss_frames(12, sign=+1):
             k, n = frame.fuss.k, frame.n
+            by_first, by_bottom = {}, {}
             for path in frame_paths(frame.m, frame.n):
                 T = path_tableau(path)
                 assert tableau_from_first_row(k, n, T.first_row()) == T
                 assert tableau_from_bottom_row(k, n, T.bottom_row()) == T
+                by_first[T.first_row()], by_bottom[T.bottom_row()] = T, T
+            # Every strictly increasing row over 1 .. (k+1)n that starts at 1 (first
+            # rows) or ends at (k+1)n (bottom rows): accepted iff a path fills it.
+            total = (k + 1) * n
+            candidates = [
+                (tableau_from_first_row, by_first,
+                 [(1, *rest) for rest in itertools.combinations(range(2, total + 1), n - 1)]),
+                (tableau_from_bottom_row, by_bottom,
+                 [(*rest, total) for rest in itertools.combinations(range(1, total), n - 1)]),
+            ]
+            for build, tableaux, rows in candidates:
+                for row in rows:
+                    if row not in tableaux:
+                        with pytest.raises(RowConstraintViolated):
+                            build(k, n, row)
+                        continue
+                    U = build(k, n, row)
+                    assert U == tableaux[row]
+                    assert FussTableau(k=U.k, n=U.n, sign=U.sign, columns=U.columns) == U
 
 
 class TestEmbeddingMonotonicity:
@@ -550,6 +572,10 @@ class TestCarriedWordAndWalk:
                     assert U == fresh and hash(U) == hash(fresh)
                     assert repr(U) == repr(fresh)
                     assert U.to_json() == fresh.to_json()
+                    # Pickle and copy carry the fields only, not the kept walk.
+                    assert pickle.dumps(U) == pickle.dumps(fresh)
+                    for carried in (pickle.loads(pickle.dumps(U)), copy.copy(U), copy.deepcopy(U)):
+                        assert carried == fresh and "_walked" not in vars(carried)
                 assert "_walked" not in repr(fresh)
 
     def test_replace_does_not_inherit_a_stale_word(self):

@@ -96,6 +96,7 @@ class TestRed:
                 continue
             for path in frame_paths(frame.m, frame.n):
                 reduced = reduced_path_of(path)
+                assert parse_path(reduced.frame, reduced.steps) == reduced
                 assert red(path_tableau(path)) == path_tableau(reduced)
 
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import pickle
 
@@ -120,6 +121,11 @@ class TestWords:
         replaced = dataclasses.replace(swept)
         assert replaced == never and "_rank_words" not in vars(replaced)
         assert pickle.loads(pickle.dumps(swept)) == never
+        # Pickle and copy carry the fields only, not the kept rank words.
+        assert pickle.dumps(swept) == pickle.dumps(never)
+        for carried in (pickle.loads(pickle.dumps(swept)), copy.copy(swept),
+                        copy.deepcopy(swept)):
+            assert carried == never and "_rank_words" not in vars(carried)
         # A new image each call: no path keeps another path alive.
         assert sweep(swept) is not sweep(swept)
 
