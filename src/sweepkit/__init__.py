@@ -36,6 +36,8 @@ from .fuss import (
     FussTableau,
     WalkPermutation,
     bold_set,
+    bounce,
+    cobounce,
     en_from_tableau,
     fill_tableau,
     invert_fuss,
@@ -70,8 +72,6 @@ from .sweep import (
     ENWord,
     SWWord,
     bipartite_invert,
-    bounce,
-    cobounce,
     en_word,
     steps_to_sw,
     sw_to_steps,

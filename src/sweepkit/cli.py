@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from . import bench as bench_mod
+from . import bench as bench_mod, qtcatalan
 from .core import (
     DyckPath,
     area,
@@ -25,8 +25,7 @@ from .core import (
     ranks,
 )
 from .errors import SweepkitError
-from .fuss import FussTableau, invert_fuss, path_tableau
-from .oracle import oracle_invert_sweep
+from .fuss import FussTableau, bounce, invert_fuss, path_tableau
 from .qtcatalan import CATALAN_ROUTES, path_count
 from .reduction import fiber_by_cutting, red
 from .render import render_svg
@@ -101,7 +100,9 @@ def cmd_invert(args) -> int:
         path, rs = bipartite_invert(sw, en)
         print(json.dumps({**_path_json(path), "rank_sequence": list(rs)}))
         return 0
-    invert = invert_fuss if args.method == "fuss" else oracle_invert_sweep
+    invert = invert_fuss
+    if args.method == "brute":  # imported here, so that no other command compiles the oracle
+        from .oracle import oracle_invert_sweep as invert
     print(json.dumps(_path_json(invert(_path_from_args(args)))))
     return 0
 
@@ -131,7 +132,7 @@ def cmd_fiber(args) -> int:
             {
                 "tableau": json.loads(T.to_json()),
                 "area": area(D),
-                "bounce": area(invert_fuss(D)),
+                "bounce": bounce(D),
             }
         )
     print(json.dumps(members))
@@ -139,7 +140,8 @@ def cmd_fiber(args) -> int:
 
 
 def cmd_catalan(args) -> int:
-    poly = CATALAN_ROUTES[args.via](args.k, args.n)
+    # By name on the module, so that a rebound route (a tracer, a mock) is what runs.
+    poly = getattr(qtcatalan, CATALAN_ROUTES[args.via].__name__)(args.k, args.n)
     print(poly.to_json())
     print(poly.pretty(), file=sys.stderr)
     return 0

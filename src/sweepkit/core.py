@@ -110,17 +110,18 @@ def _lowest_rank_rotation(m: int, n: int, steps: str) -> str:
 
 
 def _rank_keys(frame: Frame, steps: str) -> list[int]:
-    """Keys 2*rank + (1 for East) of the steps, in word order, by start rank: the
-    unspelled rank sort of ``dinv`` and of ``reduction.fiber_by_cutting``."""
+    """Keys 2*rank + (1 for East) of the steps, in word order, by start rank, for ``dinv``
+    and ``reduction``'s ``fiber_by_cutting`` and ``reduced_path_of``.  Rotating the word
+    shifts every key by one constant, so all its rotations sort alike."""
     flags = steps.encode().translate(_E_FLAGS)
     return list(map(add, _prefix_ranks(2 * frame.m, 2 * frame.n, steps), flags))
 
 
 def _rank_sort(keys: list[int]) -> str:
-    """Sort ``_rank_keys`` in place and spell their letters.  The start ranks are
-    distinct, so one C-level sort orders the steps and the low bit gives the letter
-    back: the members of ``reduction.fiber_by_cutting``.  ``DyckPath._rank_words``
-    spells sweep, sw_word and en_word from one sort of its own keys."""
+    """Sort ``_rank_keys`` in place and spell their letters: the sweep of the word's path
+    rotation (sweep reads the steps by start rank), for ``reduction``'s ``fiber_by_cutting``
+    and ``reduced_path_of``.  The ranks are distinct, so the low bit of each key, negative
+    or not, is its letter.  ``DyckPath._rank_words`` sorts its own keys for the sweep."""
     keys.sort()
     return bytes(map(and_, keys, repeat(1))).translate(_OWN_LETTERS).decode("ascii")
 

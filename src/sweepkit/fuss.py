@@ -32,7 +32,7 @@ from functools import cached_property, partial
 from itertools import chain, zip_longest
 from operator import countOf, is_not
 
-from .core import DyckPath, Frame, Fuss, _field_state, _prefix_ranks, _unchecked, make_frame
+from .core import DyckPath, Frame, Fuss, _field_state, _prefix_ranks, _unchecked, area, make_frame
 from .errors import NotFuss, NotSingleCycle, RowConstraintViolated, SweepkitError
 from .sweep import SWWord, ENWord, steps_to_sw
 
@@ -437,6 +437,16 @@ def invert_fuss(path: DyckPath) -> DyckPath:
     bold = _turns(up, tops, feet, path.frame.size, sign)
     del tops, feet  # freed before the walk fills ``order``: the peak stays the fill's
     return _unchecked(DyckPath, frame=path.frame, steps=_cycle(up, bold, len(path.steps), sign)[0])
+
+
+def bounce(path: DyckPath) -> int:
+    """area(sweep^-1(D)), through the linear inversion; NotFuss off Fuss frames."""
+    return area(invert_fuss(path))
+
+
+def cobounce(path: DyckPath) -> int:
+    """Complement of bounce within (m-1)(n-1)/2; NotFuss, from bounce, off Fuss frames."""
+    return path.frame.statistic_bound() - bounce(path)
 
 
 def tableau_from_first_row(k: int, n: int, t) -> FussTableau:

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 
 from .core import DyckPath, Frame, _prefix_ranks, area, dinv, enumerate_paths, make_frame
 from .errors import NotFuss
-from .fuss import invert_fuss
+from .fuss import bounce
 
 
 class QTPolynomial:
@@ -108,7 +108,7 @@ def catalan_qt(k: int, n: int) -> QTPolynomial:
 
 def catalan_qt_via_bounce(k: int, n: int) -> QTPolynomial:
     """Sum of q^area t^bounce, bounce taken through the linear inversion."""
-    return _accumulate((area(D), area(invert_fuss(D))) for D in _fuss_paths(k, n))
+    return _accumulate((area(D), bounce(D)) for D in _fuss_paths(k, n))
 
 
 def catalan_step(k: int, n: int) -> QTPolynomial:

@@ -17,7 +17,6 @@ from .core import (
     EAST,
     NORTH,
     DyckPath,
-    _lowest_rank_rotation,
     _rank_keys,
     _rank_sort,
     _rotation_at,
@@ -29,7 +28,6 @@ from .core import (
 from .errors import NotFuss, RankNotPresent, RankTooLarge, TooNarrow
 # psi lives in fuss and stays importable from here.
 from .fuss import FussTableau, _require_plus, invert_fuss, psi, tableau_from_bottom_row
-from .sweep import sweep
 
 
 def red(T: FussTableau) -> FussTableau:
@@ -155,11 +153,10 @@ def area_from_bottom_row(T: FussTableau) -> int:
 def reduced_path_of(path: DyckPath) -> DyckPath:
     """The unique one-column-narrower path whose tableau is red of the path's.
 
-    Geometric form: strip the sweep preimage's leading North step and
-    trailing k East steps, then rotate the remainder to start at its
-    lowest-rank vertex; the result is the reduced frame's sweep preimage.
-    The remainder has n-1 N's and k(n-1)+1 E's, so that rotation is a path
-    of the reduced frame (the cycle lemma) and is built unchecked.
+    Geometric form: strip the sweep preimage's leading North step and trailing
+    k East steps; a rotation of the remainder is the reduced frame's sweep
+    preimage.  A rotation shifts every start rank by one constant, so one rank
+    sort of the remainder as it stands spells the sweep, a path built unchecked.
     """
     frame = path.frame
     if frame.fuss is None or frame.fuss.sign != +1:
@@ -170,5 +167,5 @@ def reduced_path_of(path: DyckPath) -> DyckPath:
     preimage = invert_fuss(path)
     middle = preimage.steps[1 : len(preimage.steps) - k]
     reduced_frame = make_frame(k * (frame.n - 1) + 1, frame.n - 1)
-    rotated = _lowest_rank_rotation(reduced_frame.m, reduced_frame.n, middle)
-    return sweep(_unchecked(DyckPath, frame=reduced_frame, steps=rotated))
+    steps = _rank_sort(_rank_keys(reduced_frame, middle))
+    return _unchecked(DyckPath, frame=reduced_frame, steps=steps)

@@ -41,29 +41,23 @@ def render_svg(path: DyckPath, labels: bool = True) -> str:
         f'<line x1="{px(0)}" y1="{py(0)}" x2="{px(m)}" y2="{py(n)}" '
         'stroke="#888888" stroke-width="1.5" stroke-dasharray="6,4"/>'
     )
-    points = []
     x = y = 0
-    points.append(f"{px(x)},{py(y)}")
+    vertices = [(px(x), py(y))]
     for ch in path.steps:
         if ch == "N":
             y += 1
         else:
             x += 1
-        points.append(f"{px(x)},{py(y)}")
+        vertices.append((px(x), py(y)))
+    points = " ".join(f"{vx},{vy}" for vx, vy in vertices)
     parts.append(
-        f'<polyline points="{" ".join(points)}" fill="none" '
-        'stroke="#1f4e9c" stroke-width="3"/>'
+        f'<polyline points="{points}" fill="none" stroke="#1f4e9c" stroke-width="3"/>'
     )
     if labels:
-        x = y = 0
-        for ch, r in zip(path.steps, ranks(path)):
+        for (vx, vy), r in zip(vertices, ranks(path)):
             parts.append(
-                f'<text x="{px(x) - 6}" y="{py(y) + 14}" font-size="11" '
+                f'<text x="{vx - 6}" y="{vy + 14}" font-size="11" '
                 f'text-anchor="end" fill="#b03030">{r}</text>'
             )
-            if ch == "N":
-                y += 1
-            else:
-                x += 1
     parts.append("</svg>")
     return "\n".join(parts)

@@ -16,7 +16,7 @@ from functools import partial
 
 from .core import (DyckPath, Frame, RankSequence, _unchecked, area, dinv, enumerate_paths,
                    make_frame, parse_path, rank_complement, rank_sequence)
-from .fuss import (FussTableau, en_from_tableau, fill_tableau, invert_fuss, psi,
+from .fuss import (FussTableau, en_from_tableau, fill_tableau, invert_fuss, path_tableau, psi,
                    tableau_from_bottom_row, tableau_from_first_row, tableau_to_sw, walk)
 from .oracle import (
     _fill_columns,
@@ -24,6 +24,7 @@ from .oracle import (
     oracle_dinv,
     oracle_fiber_by_cutting,
     oracle_invert_sweep,
+    oracle_red,
 )
 from .reduction import fiber_by_cutting, red, reduced_path_of
 from .qtcatalan import CATALAN_ROUTES, path_count
@@ -170,20 +171,23 @@ def _tableau(D: DyckPath, fillers: dict) -> dict:
                 _rebuilt(plus and tableau_from_bottom_row(T.k, T.n, T.bottom_row())),
             "parse_path(reduced_path_of)":
                 not reduced or parse_path(reduced.frame, reduced.steps) == reduced,
+            "path_tableau(reduced_path_of)": path_tableau(reduced).columns if reduced else None,
             "tableau_to_sw": sw.letters, "walk": walk(T).order,
             "filled from": fillers.setdefault(T.columns, D.steps), "fiber": fiber}
 
 
 def _tableau_expected(D: DyckPath) -> dict:
     fuss, columns = D.frame.fuss, reference_columns(D)
-    fiber = None  # a sign -1 tableau has no fiber
+    fiber = reduced = None  # a sign -1 tableau has no fiber and no reduction
     if fuss.sign > 0:  # the reference tableau is unchecked: no fill kernel runs
         reference = _unchecked(FussTableau, k=fuss.k, n=D.frame.n, sign=+1, columns=columns)
         fiber = [P.steps for P in oracle_fiber_by_cutting(reference)]
+        reduced = oracle_red(reference).columns if D.frame.n >= 2 else None
     return {"SWWord(tableau_to_sw)": True, "ENWord(en_from_tableau)": True,
             "FussTableau(fill_tableau)": True, "FussTableau(red)": True, "FussTableau(psi)": True,
             "FussTableau(tableau_from_first_row)": True,
             "FussTableau(tableau_from_bottom_row)": True, "parse_path(reduced_path_of)": True,
+            "path_tableau(reduced_path_of)": reduced,
             "tableau_to_sw": steps_to_sw(D.steps), "walk": tuple(_walk_order(columns, fuss.sign)),
             "filled from": D.steps, "fiber": fiber}
 
@@ -191,10 +195,11 @@ def _tableau_expected(D: DyckPath) -> dict:
 def tableau_walk(frames) -> tuple[int, Counterexample | None]:
     """Column filling is injective into valid tableaux; they, their ``red`` and ``psi``,
     and the row constructors' tableaux from their first and bottom rows pass the
-    constructor, and ``reduced_path_of`` passes ``parse_path``; ``tableau_to_sw`` undoes
-    the filling and passes ``SWWord``, and ``en_from_tableau`` passes ``ENWord``; the walk
-    is the oracle's column walk over the oracle's fill, and for sign +1 the fiber one
-    column up (through parse_path) is the oracle's cut-by-cut one."""
+    constructor; ``reduced_path_of`` passes ``parse_path`` and fills the oracle's ``red``
+    of the oracle's fill; ``tableau_to_sw`` undoes the filling and passes ``SWWord``, and
+    ``en_from_tableau`` passes ``ENWord``; the walk is the oracle's column walk over the
+    oracle's fill, and for sign +1 the fiber one column up (through parse_path) is the
+    oracle's cut-by-cut one."""
     fillers: dict = {}  # one for every frame: the columns fix the frame
     return _first("tableau and walk", (
         (frame, D.steps, partial(_tableau_expected, D), _tableau, D, fillers)

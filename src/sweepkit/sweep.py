@@ -9,7 +9,8 @@ sequence of the preimage, which is what bipartite_invert exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from operator import invert
 
@@ -20,11 +21,11 @@ from .core import (
     Frame,
     RankSequence,
     _E_FLAGS,
+    _field_state,
     _unchecked,
-    area,
     parse_path,
 )
-from .errors import InconsistentPair, NotFuss
+from .errors import InconsistentPair
 
 S_STEP = "S"
 W_STEP = "W"
@@ -46,18 +47,24 @@ def sw_to_steps(letters: str) -> str:
 
 @dataclass(frozen=True)
 class SWWord:
-    """Length m+n word over {S, W} in rank order; itself a valid path word."""
+    """Length m+n word over {S, W} in rank order; itself a valid path word.  Its path
+    is kept in ``_path``, a cached property, not a field: pickle and copy skip it."""
 
     frame: Frame
     letters: str
-    _path: DyckPath = field(init=False, repr=False, compare=False)
+    __getstate__ = _field_state
 
     def __post_init__(self):
         letters = self.letters
         if letters.count(S_STEP) + letters.count(W_STEP) != len(letters):
             bad = set(letters) - {S_STEP, W_STEP}
             raise ValueError(f"SW word may only contain S and W, got {sorted(bad)}")
-        object.__setattr__(self, "_path", parse_path(self.frame, sw_to_steps(letters)))
+        self.__dict__["_path"] = parse_path(self.frame, sw_to_steps(letters))
+
+    @cached_property
+    def _path(self) -> DyckPath:
+        """Set by the constructor and the unchecked makers; rebuilt unchecked on a copy."""
+        return _unchecked(DyckPath, frame=self.frame, steps=sw_to_steps(self.letters))
 
     def as_path(self) -> DyckPath:
         """The path drawn by reading the letters left to right (S up, W right).
@@ -160,21 +167,3 @@ def bipartite_invert(sw: SWWord, en: ENWord) -> tuple[DyckPath, RankSequence]:
     except ValueError:
         raise InconsistentPair("recovered ranks are not increasing along the words") from None
     return _unchecked(DyckPath, frame=sw.frame, steps=out.decode("ascii")), rs
-
-
-def bounce(path: DyckPath) -> int:
-    """area of the sweep preimage, bounce(D) = area(sweep^-1(D)).
-
-    Uses the linear-time tableau inversion, so Fuss frames only (NotFuss
-    otherwise).
-    """
-    from .fuss import invert_fuss
-
-    return area(invert_fuss(path))
-
-
-def cobounce(path: DyckPath) -> int:
-    """Complement of bounce within (m-1)(n-1)/2, Fuss frames only."""
-    if path.frame.fuss is None:
-        raise NotFuss(f"cobounce needs a Fuss frame, got ({path.frame.m}, {path.frame.n})")
-    return path.frame.statistic_bound() - bounce(path)

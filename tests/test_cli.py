@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from functools import partial
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sweepkit.bench
+import sweepkit.qtcatalan
 import sweepkit.suites
 from sweepkit import (
     BelowDiagonal,
@@ -18,10 +22,13 @@ from sweepkit import (
     enumerate_paths,
     fiber_by_cutting,
     fiber_count,
+    invert_fuss,
     make_frame,
     path_count,
     path_tableau,
     rank_complement,
+    red,
+    reduced_path_of,
     sw_to_steps,
     sw_word,
     sweep,
@@ -117,6 +124,14 @@ class TestSweepInvert:
         _, out, _ = run(capsys, "invert", "--m", "4", "--n", "1", "--word", "NEEEE")
         assert json.loads(out)["steps"] == "NEEEE"
 
+    def test_only_brute_loads_the_oracle(self):
+        # A fresh interpreter: importing the CLI does not compile the oracle.
+        code = "import sys, sweepkit.cli; print('sweepkit.oracle' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "False\n"
+
 
 class TestTableauCommands:
     def test_tableau_golden(self, capsys):
@@ -198,6 +213,18 @@ class TestCatalanCommand:
             _, out, _ = run(capsys, "catalan", "--k", "2", "--n", "3", "--via", via)
             outputs.add(out.strip())
         assert len(outputs) == 1
+
+    def test_route_is_looked_up_on_the_module(self, capsys, monkeypatch):
+        # A route rebound on qtcatalan after import, as a tracer does, is the one
+        # that runs.
+        calls = []
+        for name in ("catalan_qt", "catalan_qt_via_bounce", "catalan_step"):
+            route = getattr(sweepkit.qtcatalan, name)
+            monkeypatch.setattr(sweepkit.qtcatalan, name,
+                                lambda *a, route=route, name=name: calls.append(name) or route(*a))
+        for via in ("dinv-area", "area-bounce", "step"):
+            assert run(capsys, "catalan", "--k", "1", "--n", "3", "--via", via)[0] == 0
+        assert calls == ["catalan_qt", "catalan_qt_via_bounce", "catalan_step"]
 
 
 class TestCount:
@@ -343,6 +370,24 @@ class TestVerify:
         _, counterexample = sweepkit.suites.tableau_walk(frames)
         assert (counterexample.frame, counterexample.word) == (frame, D.steps)
         code, out, _ = run(capsys, "verify", "--max-steps", "6")
+        assert code == 2
+        lines, failed = out.splitlines(), "tableau invariants and walk vs column walk: FAILED"
+        assert [line for line in lines if "FAILED" in line] == [failed]
+        assert lines[lines.index(failed) + 1] == f"  counterexample: {counterexample}"
+
+    def test_planted_reduction_fault_names_its_path(self, capsys, monkeypatch):
+        # A reduced path left unswept is a valid path of the reduced frame, but
+        # its tableau is not red of the path's: the value key names the first.
+        monkeypatch.setattr(sweepkit.suites, "reduced_path_of",
+                            lambda D: invert_fuss(reduced_path_of(D)))
+        frames = fuss_frames(7)
+        frame, D = next((f, D) for f in frames if f.fuss.sign > 0 and f.n >= 2
+                        for D in frame_paths(f.m, f.n)
+                        if path_tableau(invert_fuss(reduced_path_of(D))) != red(path_tableau(D)))
+        _, counterexample = sweepkit.suites.tableau_walk(frames)
+        assert (counterexample.frame, counterexample.word) == (frame, D.steps)
+        assert counterexample.got["parse_path(reduced_path_of)"] is True
+        code, out, _ = run(capsys, "verify", "--max-steps", "7")
         assert code == 2
         lines, failed = out.splitlines(), "tableau invariants and walk vs column walk: FAILED"
         assert [line for line in lines if "FAILED" in line] == [failed]

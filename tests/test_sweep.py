@@ -13,6 +13,7 @@ from sweepkit import (
     area,
     bipartite_invert,
     bounce,
+    cobounce,
     en_word,
     make_frame,
     parse_path,
@@ -72,6 +73,17 @@ class TestWords:
         twin = SWWord(make_frame(*FIG_FRAME), FIG_SW)
         assert twin == word and hash(twin) == hash(word)
         assert repr(word) == f"SWWord(frame={word.frame!r}, letters={FIG_SW!r})"
+
+    def test_kept_path_stays_out_of_pickle_and_copy(self):
+        # Checked or unchecked, a word pickles and copies its fields alone; a carried
+        # word rebuilds the same path on demand.
+        for word in (SWWord(make_frame(*FIG_FRAME), FIG_SW), sw_word(fig_path())):
+            assert "_path" in vars(word)
+            for carried in (pickle.loads(pickle.dumps(word)), copy.copy(word),
+                            copy.deepcopy(word)):
+                assert carried == word and "_path" not in vars(carried)
+                assert carried.as_path() == word.as_path() == sweep(fig_path())
+                assert carried.as_path() is carried.as_path()
 
     def test_en_word_rejects_other_letters(self):
         # parse_path upper-cases, so only the letter check rejects these.
@@ -226,6 +238,11 @@ class TestBounce:
     def test_fuss_requires_fuss_frame(self):
         with pytest.raises(NotFuss):
             bounce(fig_path())
+
+    def test_cobounce_requires_fuss_frame(self):
+        # The NotFuss comes from bounce: cobounce has no check of its own.
+        with pytest.raises(NotFuss):
+            cobounce(fig_path())
 
     def test_strategies_agree(self):
         for frame in coprime_frames(11):
