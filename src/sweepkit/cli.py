@@ -25,7 +25,7 @@ from .core import (
     ranks,
 )
 from .errors import SweepkitError
-from .fuss import FussTableau, bounce, invert_fuss, path_tableau
+from .fuss import FussTableau, _walk_path, invert_fuss, path_tableau
 from .qtcatalan import CATALAN_ROUTES, path_count
 from .reduction import fiber_by_cutting, red
 from .render import render_svg
@@ -127,14 +127,9 @@ def cmd_fiber(args) -> int:
     T_reduced = FussTableau.from_json(args.tableau_json)
     members = []
     for D in fiber_by_cutting(T_reduced):
-        T = path_tableau(D)
-        members.append(
-            {
-                "tableau": json.loads(T.to_json()),
-                "area": area(D),
-                "bounce": bounce(D),
-            }
-        )
+        T = path_tableau(D)  # its walk spells the preimage, whose area is the bounce
+        members.append({"tableau": json.loads(T.to_json()), "area": area(D),
+                        "bounce": area(_walk_path(T))})
     print(json.dumps(members))
     return 0
 

@@ -15,8 +15,8 @@ The active feet form a FIFO queue, so columns grow, and finish, in the
 order they were started: the i-th W of a column always comes before the
 i-th W of every column started after it.  Hence the j-th top and the j-th
 foot share a column.  ``_fill`` therefore keeps no per-column list, only the
-label above each label: following it k times up from the feet reads every
-column off at once, and one fill serves both the inversion and ``_tableau``,
+label above each label: following it k times up from the feet reads the rows
+off one at a time, and one fill serves both the inversion and ``_tableau``,
 the one builder of a tableau from a path word.  A tableau is valid iff its
 (k, sign) is its frame's own Fuss classification, its first-row word is a
 path, and ``_tableau`` of that word is the tableau; the constructor checks
@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, zip_longest
-from operator import countOf, is_not
+from operator import is_not, lt
 
 from .core import DyckPath, Frame, Fuss, _field_state, _prefix_ranks, _unchecked, area, make_frame
 from .errors import NotFuss, NotSingleCycle, RowConstraintViolated, SweepkitError
@@ -52,12 +52,13 @@ def _transpose(lines) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class FussTableau:
-    """Column-filled array for a Fuss frame m = kn + sign.
+    """Column-filled array for a Fuss frame m = kn + sign, stored as its rows.
 
-    ``columns`` holds the real entries 1 .. m+n-1 only.  For sign +1 that is
-    the full (k+1) x n rectangle; for sign -1 the shape is ragged, two cells
-    short, and the two virtual labels m+n, m+n+1 live only in the completed
-    view used by the walk.
+    ``rows`` holds the real entries 1 .. m+n-1 only, row 1 first, as ``to_json``
+    writes them.  For sign +1 that is the full (k+1) x n rectangle; for sign -1
+    the rows are ragged, two cells short at their right ends (an empty row left
+    out), and the two virtual labels m+n, m+n+1 live only in the completed rows
+    used by the walk.  ``columns`` is a view, derived on each call.
 
     Every instance is valid: the constructor checks the shape, then runs
     ``validate``.  The first walk is kept in ``_walked``, a cached property
@@ -69,30 +70,39 @@ class FussTableau:
     k: int
     n: int
     sign: int
-    columns: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
     __getstate__ = _field_state
 
     def __post_init__(self) -> None:
-        """ValueError unless a path fills this shape (n columns of height k+1,
-        except for sign -1 a last column k-1 high or two last columns k high)
-        and ``validate`` accepts the tableau."""
+        """ValueError unless a path fills this shape (k+1 rows of n, except for sign -1
+        two last rows of n-1 under k-1 >= 1 rows of n, or a last row of n-2 under k rows
+        of n) and ``validate`` accepts the tableau."""
         k, n, sign = self.k, self.n, self.sign
         if sign not in (+1, -1) or k < 1 or n < 1:
             raise ValueError("bad tableau parameters")
-        # The short columns end the shape; every column before them is full.
-        cols = self.columns
-        if sign > 0:
-            short = ()
-        elif cols and len(cols[-1]) == k - 1:
-            short = (k - 1,)
-        else:
-            short = (k, k)
-        if (len(cols) != n or 0 in short  # for k = 1, k - 1 = 0 is no column
-                or tuple(map(len, cols[n - len(short):])) != short
-                or countOf(map(len, cols), k + 1) != n - len(short)):
-            raise ValueError(f"columns do not have the shape of a k = {k}, n = {n}, "
+        # The rows of n entries come first; by their count, the lengths of the rows after
+        # them (a length 0 is no row).  Only lengths are compared: O(number of rows).
+        lengths = tuple(map(len, self.rows))
+        full = lengths.count(n)
+        short = {k + 1: ()} if sign > 0 else {k - 1: (n - 1, n - 1), k: (n - 2,)}
+        if not full or full not in short or tuple(filter(None, short[full])) != lengths[full:]:
+            raise ValueError(f"rows do not have the shape of a k = {k}, n = {n}, "
                              f"sign {sign:+d} tableau")
         self.validate()
+
+    @classmethod
+    def from_columns(cls, k: int, n: int, sign: int, columns) -> "FussTableau":
+        """The tableau with these n columns, each top to foot; ValueError unless no column is
+        higher than the one before it (so rows hold no gaps) and the constructor accepts them."""
+        heights = tuple(map(len, columns))
+        if len(heights) != n or any(map(lt, heights, heights[1:])):
+            raise ValueError(f"columns do not have the shape of a tableau of {n} columns")
+        return cls(k=k, n=n, sign=sign, rows=_transpose(columns))
+
+    @property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """Column view of ``rows``, column 1 first; derived on each call and never kept."""
+        return _transpose(self.rows)
 
     @property
     def m(self) -> int:
@@ -106,28 +116,30 @@ class FussTableau:
     def frame(self) -> Frame:
         return make_frame(self.m, self.n)
 
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return _transpose(self.columns)
-
     def first_row(self) -> tuple[int, ...]:
-        return tuple(c[0] for c in self.columns)
+        return self.rows[0]
 
-    def completed_columns(self) -> tuple[tuple[int, ...], ...]:
-        """Columns with the sign -1 virtual labels appended (no-op for +1).
+    def _completed_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Rows with the sign -1 virtual labels appended (no-op for +1).
 
         Columns finish in the order they start, so the virtual labels m+n,
-        m+n+1 end the last column, or each of the last two columns.
+        m+n+1 end the bottom row, or each of the last two rows (which for
+        n <= 2 may be empty, and so left out of ``rows``).
         """
-        cols, size = self.columns, self.size
         if self.sign > 0:
-            return cols
-        if len(cols[-1]) < self.k:
-            return cols[:-1] + (cols[-1] + (size, size + 1),)
-        return cols[:-2] + (cols[-2] + (size,), cols[-1] + (size + 1,))
+            return self.rows
+        rows, size = self.rows + ((),) * (self.k + 1 - len(self.rows)), self.size
+        if len(rows[-1]) < self.n - 1:
+            return rows[:-1] + (rows[-1] + (size, size + 1),)
+        return rows[:-2] + (rows[-2] + (size,), rows[-1] + (size + 1,))
+
+    def completed_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Columns with the sign -1 virtual labels appended (no-op for +1)."""
+        return tuple(zip(*self._completed_rows()))
 
     def bottom_row(self) -> tuple[int, ...]:
         """Feet of the completed columns (row k+1)."""
-        return tuple(c[-1] for c in self.completed_columns())
+        return self._completed_rows()[-1]
 
     def validate(self) -> None:
         """Check that a tableau of legal shape equals the tableau its first-row word fills.
@@ -151,18 +163,11 @@ class FussTableau:
             DyckPath(frame, steps)
         except SweepkitError as exc:
             raise ValueError(f"tableau encodes no path: {exc}") from exc
-        if _tableau(frame, steps).columns != self.columns:
+        if _tableau(frame, steps).rows != self.rows:
             raise ValueError("tableau is not the column filling of its first row")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "k": self.k,
-                "n": self.n,
-                "sign": self.sign,
-                "rows": [list(r) for r in self.rows()],
-            }
-        )
+        return json.dumps({"k": self.k, "n": self.n, "sign": self.sign, "rows": self.rows})
 
     @classmethod
     def from_json(cls, text: str) -> "FussTableau":
@@ -173,28 +178,24 @@ class FussTableau:
         k, n, sign, rows = data["k"], data["n"], data["sign"], data["rows"]
         if not (isinstance(rows, list) and rows and all(isinstance(r, list) and r for r in rows)):
             raise ValueError("tableau rows must be a non-empty list of non-empty lists")
-        if set(map(type, (k, n, sign, *chain.from_iterable(rows)))) != {int}:
+        if set(map(type, chain((k, n, sign), *rows))) != {int}:
             raise ValueError("tableau k, n, sign and entries must be integers")
-        if any(len(a) < len(b) for a, b in zip(rows, rows[1:])):
-            raise ValueError("tableau rows must not get longer downwards")
-        return cls(k=k, n=n, sign=sign, columns=_transpose(rows))
+        return cls(k=k, n=n, sign=sign, rows=tuple(map(tuple, rows)))
 
     def render_text(self) -> str:
         width = len(str(self.size - 1))
-        return "\n".join(
-            " ".join(str(e).rjust(width) for e in row) for row in self.rows()
-        )
+        return "\n".join(" ".join(str(e).rjust(width) for e in row) for row in self.rows)
 
     @cached_property
     def _walked(self) -> tuple[str, tuple[int, ...]]:
-        """``(letters, order)`` of the walk, from the completed columns alone.
+        """``(letters, order)`` of the walk, from the completed rows alone.
 
         ``up[below] = above`` for vertical neighbours; the tops are the first
         row and the feet the bottom row.  Every tableau is valid, so the
         walk is one cycle through all m+n labels.
         """
         size, sign = self.size, self.sign
-        rows = list(zip(*self.completed_columns()))
+        rows = self._completed_rows()
         up = [0] * (size - sign + 2)
         for upper, lower in zip(rows, rows[1:]):
             for above, below in zip(upper, lower):
@@ -289,15 +290,16 @@ def _tableau(frame: Frame, steps: str) -> FussTableau:
     unchecked, as the filling of a path is by definition a tableau of T^k_n."""
     k, sign = _fuss_params(frame)
     up, _, feet = _fill(steps, k, sign)
-    rows = [feet]
+    rows = [tuple(feet)]
     for _ in range(k):
-        rows.append(list(map(up.__getitem__, rows[-1])))
-    columns = tuple(zip(*reversed(rows)))
+        rows.append(tuple(map(up.__getitem__, rows[-1])))
+    rows.reverse()
     if sign < 0:
-        # The virtual labels m+n, m+n+1 end the last one or two columns.
-        size = frame.size
-        columns = columns[:-2] + tuple(tuple(e for e in c if e < size) for c in columns[-2:])
-    return _unchecked(FussTableau, k=k, n=frame.n, sign=sign, columns=columns)
+        # m+n+1 ends the bottom row, m+n that row or the one above; an emptied row goes.
+        rows[-1] = rows[-1][:-1]
+        at = -1 if rows[-1][-1:] == (frame.size,) else -2
+        rows[at] = rows[at][:-1]
+    return _unchecked(FussTableau, k=k, n=frame.n, sign=sign, rows=tuple(filter(None, rows)))
 
 
 def fill_tableau(sw: SWWord) -> FussTableau:
@@ -392,6 +394,11 @@ def _cycle(up: list[int], bold: bytearray, size: int, sign: int) -> tuple[str, l
     return out.decode("ascii"), order
 
 
+def _walk_path(T: FussTableau) -> DyckPath:
+    """The sweep preimage that the walk spells (the paper's theorem), unchecked."""
+    return _unchecked(DyckPath, frame=T.frame(), steps=T._walked[0])
+
+
 def walk(T: FussTableau) -> WalkPermutation:
     """The single-cycle walk through the labels 1 .. m+n.
 
@@ -410,7 +417,7 @@ def reduced_walk(T: FussTableau) -> tuple[int, ...]:
     _require_plus(T, "reduced_walk")
     if T.n < 2:
         raise ValueError("reduced walk needs at least two columns")
-    column1 = set(T.columns[0])
+    column1 = {row[0] for row in T.rows}
     rest = [label for label in T._walked[1] if label not in column1]
     at = rest.index(min(rest))
     return tuple(rest[at:] + rest[:at])
@@ -495,8 +502,6 @@ def psi(T: FussTableau) -> FussTableau:
     """Half-turn involution: entry (i, j) becomes (k+1)n+1 - T[k+2-i, n+1-j];
     unchecked, as the half-turn is an involution of T^k_n (the paper's psi)."""
     _require_plus(T, "psi")
-    total = (T.k + 1) * T.n
-    flipped = tuple(
-        tuple(total + 1 - e for e in reversed(col)) for col in reversed(T.columns)
-    )
-    return _unchecked(FussTableau, k=T.k, n=T.n, sign=+1, columns=flipped)
+    flip = ((T.k + 1) * T.n + 1).__sub__
+    flipped = tuple(tuple(map(flip, reversed(row))) for row in reversed(T.rows))
+    return _unchecked(FussTableau, k=T.k, n=T.n, sign=+1, rows=flipped)

@@ -236,7 +236,7 @@ def _walk_order(columns: tuple[tuple[int, ...], ...], sign: int) -> list[int]:
 
 
 def oracle_validate(k: int, n: int, sign: int, columns) -> None:
-    """``FussTableau(k, n, sign, columns)``'s check as the round trip that
+    """``FussTableau.from_columns(k, n, sign, columns)``'s check as the round trip that
     ``validate`` replaced: (k, sign) the Fuss classification of (kn + sign, n),
     S at the first-row labels and W elsewhere an SW word of that frame, and its
     per-column list filling (``_fill_columns``, not the fill kernel) ``columns``
@@ -262,9 +262,9 @@ def oracle_red(T: FussTableau) -> FussTableau:
     _require_plus(T, "oracle_red")
     if T.n < 2:
         raise TooNarrow("cannot remove the only column")
-    col1 = T.columns[0]
-    columns = tuple(tuple(e - bisect_left(col1, e) for e in col) for col in T.columns[1:])
-    return _unchecked(FussTableau, k=T.k, n=T.n - 1, sign=+1, columns=columns)
+    col1 = [row[0] for row in T.rows]
+    rows = tuple(tuple(e - bisect_left(col1, e) for e in row[1:]) for row in T.rows)
+    return _unchecked(FussTableau, k=T.k, n=T.n - 1, sign=+1, rows=rows)
 
 
 def oracle_fiber(T_reduced: FussTableau) -> list[DyckPath]:
@@ -335,8 +335,7 @@ def enumerate_tableaux(k: int, n: int) -> Iterator[FussTableau]:
     def place(label: int) -> Iterator[FussTableau]:
         if label > total:
             if _strip_ok(columns):
-                yield _unchecked(FussTableau, k=k, n=n, sign=+1,
-                                 columns=tuple(map(tuple, columns)))
+                yield _unchecked(FussTableau, k=k, n=n, sign=+1, rows=tuple(zip(*columns)))
             return
         for j in range(n):
             h = heights[j]

@@ -11,7 +11,7 @@ of a tableau read off area and coarea of its path directly.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import chain, pairwise
+from itertools import chain, islice, pairwise
 
 from .core import (
     EAST,
@@ -27,7 +27,8 @@ from .core import (
 )
 from .errors import NotFuss, RankNotPresent, RankTooLarge, TooNarrow
 # psi lives in fuss and stays importable from here.
-from .fuss import FussTableau, _require_plus, invert_fuss, psi, tableau_from_bottom_row
+from .fuss import (FussTableau, _require_plus, _walk_path, invert_fuss, psi,
+                   tableau_from_bottom_row)
 
 
 def red(T: FussTableau) -> FussTableau:
@@ -36,26 +37,24 @@ def red(T: FussTableau) -> FussTableau:
     An entry drops by the number of column-1 entries below it, a shift that
     is constant between consecutive column-1 entries.  So one table of the
     labels 0 .. (k+1)n, built a segment of ``range`` at a time, renumbers
-    every other entry in one flat pass, regrouped k+1 at a time into columns.
+    each row past its first entry in one pass.
     Unchecked: column reduction maps T^k_n onto T^k_{n-1} (the paper's red).
     The bisection per entry it replaced is ``oracle.oracle_red``.
     """
     _require_plus(T, "red")
     if T.n < 2:
         raise TooNarrow("cannot remove the only column")
-    col1 = T.columns[0]
-    bounds = (0, *col1, T.size)  # T.size - 1 = (k+1)n is the largest entry
+    bounds = (0, *[row[0] for row in T.rows], T.size)  # T.size - 1 = (k+1)n is the largest entry
     renumber = list(chain.from_iterable(
         range(a - i, b - i) for i, (a, b) in enumerate(pairwise(bounds))))
-    flat = map(renumber.__getitem__, chain.from_iterable(T.columns[1:]))
-    columns = tuple(zip(*[flat] * len(col1)))
-    return _unchecked(FussTableau, k=T.k, n=T.n - 1, sign=+1, columns=columns)
+    rows = tuple(tuple(map(renumber.__getitem__, islice(row, 1, None))) for row in T.rows)
+    return _unchecked(FussTableau, k=T.k, n=T.n - 1, sign=+1, rows=rows)
 
 
 def fiber_count(T_reduced: FussTableau) -> int:
     """Number of tableaux reducing to T_reduced: the foot of its column 1."""
     _require_plus(T_reduced, "fiber_count")
-    return T_reduced.columns[0][-1]
+    return T_reduced.rows[-1][0]
 
 
 def fiber_by_bottom_rows(T_reduced: FussTableau) -> list[FussTableau]:
@@ -66,11 +65,9 @@ def fiber_by_bottom_rows(T_reduced: FussTableau) -> list[FussTableau]:
     """
     _require_plus(T_reduced, "fiber_by_bottom_rows")
     k, n = T_reduced.k, T_reduced.n + 1
-    tail = [b + k + 1 for b in T_reduced.bottom_row()]
-    first = T_reduced.columns[0][-1]
-    return [
-        tableau_from_bottom_row(k, n, [b1] + tail) for b1 in range(k + 1, k + first + 1)
-    ]
+    bottom = T_reduced.rows[-1]
+    tail = [b + k + 1 for b in bottom]
+    return [tableau_from_bottom_row(k, n, [b1] + tail) for b1 in range(k + 1, k + bottom[0] + 1)]
 
 
 def cut_and_lift(preimage: DyckPath, r: int) -> DyckPath:
@@ -118,8 +115,7 @@ def fiber_by_cutting(T_reduced: FussTableau) -> list[DyckPath]:
     """
     _require_plus(T_reduced, "fiber_by_cutting")
     k = T_reduced.k
-    # The walk of a tableau spells its sweep preimage (the paper's theorem).
-    preimage = _unchecked(DyckPath, frame=T_reduced.frame(), steps=T_reduced._walked[0])
+    preimage = _walk_path(T_reduced)
     steps, reduced_m = preimage.steps, preimage.frame.m
     frame = make_frame(reduced_m + k, preimage.frame.n + 1)
     m, n = frame.m, frame.n

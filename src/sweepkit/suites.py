@@ -151,7 +151,7 @@ def fuss_inversion(frames) -> tuple[int, Counterexample | None]:
 
 def _rebuilt(U: FussTableau | bool) -> bool:
     """An unchecked tableau passes the constructor (False: there is none)."""
-    return not U or FussTableau(k=U.k, n=U.n, sign=U.sign, columns=U.columns) == U
+    return not U or FussTableau(k=U.k, n=U.n, sign=U.sign, rows=U.rows) == U
 
 
 def _tableau(D: DyckPath, fillers: dict) -> dict:
@@ -171,18 +171,19 @@ def _tableau(D: DyckPath, fillers: dict) -> dict:
                 _rebuilt(plus and tableau_from_bottom_row(T.k, T.n, T.bottom_row())),
             "parse_path(reduced_path_of)":
                 not reduced or parse_path(reduced.frame, reduced.steps) == reduced,
-            "path_tableau(reduced_path_of)": path_tableau(reduced).columns if reduced else None,
+            "path_tableau(reduced_path_of)": path_tableau(reduced).rows if reduced else None,
             "tableau_to_sw": sw.letters, "walk": walk(T).order,
-            "filled from": fillers.setdefault(T.columns, D.steps), "fiber": fiber}
+            "filled from": fillers.setdefault(T.rows, D.steps), "fiber": fiber}
 
 
 def _tableau_expected(D: DyckPath) -> dict:
     fuss, columns = D.frame.fuss, reference_columns(D)
     fiber = reduced = None  # a sign -1 tableau has no fiber and no reduction
     if fuss.sign > 0:  # the reference tableau is unchecked: no fill kernel runs
-        reference = _unchecked(FussTableau, k=fuss.k, n=D.frame.n, sign=+1, columns=columns)
+        reference = _unchecked(FussTableau, k=fuss.k, n=D.frame.n, sign=+1,
+                               rows=tuple(zip(*columns)))
         fiber = [P.steps for P in oracle_fiber_by_cutting(reference)]
-        reduced = oracle_red(reference).columns if D.frame.n >= 2 else None
+        reduced = oracle_red(reference).rows if D.frame.n >= 2 else None
     return {"SWWord(tableau_to_sw)": True, "ENWord(en_from_tableau)": True,
             "FussTableau(fill_tableau)": True, "FussTableau(red)": True, "FussTableau(psi)": True,
             "FussTableau(tableau_from_first_row)": True,
@@ -200,7 +201,7 @@ def tableau_walk(frames) -> tuple[int, Counterexample | None]:
     ``en_from_tableau`` passes ``ENWord``; the walk is the oracle's column walk over the
     oracle's fill, and for sign +1 the fiber one column up (through parse_path) is the
     oracle's cut-by-cut one."""
-    fillers: dict = {}  # one for every frame: the columns fix the frame
+    fillers: dict = {}  # one for every frame: the rows fix the frame
     return _first("tableau and walk", (
         (frame, D.steps, partial(_tableau_expected, D), _tableau, D, fillers)
         for frame, D in _fuss_paths(frames)))

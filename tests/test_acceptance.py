@@ -135,10 +135,10 @@ def test_criterion_04_tableau_bijection():
 def test_criterion_05_golden_tableau_and_walks():
     with criterion(5, "k=3,n=4 tableau, its walk, the reduced walk, reduced tableau"):
         T = fill_tableau(SWWord(make_frame(13, 4), K3N4_SW))
-        assert T.rows() == K3N4_ROWS
+        assert T.rows == K3N4_ROWS
         assert walk(T).order == K3N4_WALK
         assert reduced_walk(T) == K3N4_REDUCED_WALK
-        assert red(T).rows() == K3N4_REDUCED_ROWS
+        assert red(T).rows == K3N4_REDUCED_ROWS
 
 
 def test_criterion_06_en_extraction():

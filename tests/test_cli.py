@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sweepkit.bench
+import sweepkit.fuss
 import sweepkit.qtcatalan
 import sweepkit.suites
 from sweepkit import (
@@ -170,6 +171,23 @@ class TestTableauCommands:
         nine = [m for m in members if m["area"] == 11]
         assert nine[0]["bounce"] == 10
 
+    def test_fiber_fills_each_member_once(self, capsys, monkeypatch):
+        reduced = red(path_tableau(random_path(make_frame(27, 13), random.Random(0))))
+        calls = []
+        real = sweepkit.fuss._fill
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sweepkit.fuss, "_fill", counted)
+        code, out, _ = run(capsys, "fiber", "--tableau-json", reduced.to_json())
+        members = json.loads(out)
+        assert code == 0 and len(members) == fiber_count(reduced) > 1
+        # One fill checks the input and one builds each member's tableau, whose walk
+        # spells the preimage that the bounce is the area of.
+        assert len(calls) == 1 + len(members)
+
     def test_bad_json_exit_1(self, capsys):
         code, _, _ = run(capsys, "red", "--tableau-json", "{not json")
         assert code == 1
@@ -186,6 +204,9 @@ class TestTableauCommands:
             # First-row labels outside 1 .. m+n, which would index the word.
             '{"k": 1, "n": 2, "sign": 1, "rows": [[-10, 3], [2, 4]]}',
             '{"k": 1, "n": 2, "sign": 1, "rows": [[1, 9], [2, 4]]}',
+            # A k or n far past the rows: the shape check reads the row lengths only.
+            *(json.dumps({"k": k, "n": n, "sign": sign, "rows": [[1]]})
+              for k, n in [(10**9, 1), (1, 10**9)] for sign in (1, -1)),
         ],
     )
     def test_malformed_tableau_exit_2(self, capsys, blob):

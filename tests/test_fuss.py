@@ -66,7 +66,7 @@ class TestFill:
         assert k4n3_tableau().columns == K4N3_COLUMNS
 
     def test_k3n4_rows(self):
-        assert k3n4_tableau().rows() == K3N4_ROWS
+        assert k3n4_tableau().rows == K3N4_ROWS
 
     def test_single_column(self):
         T = fill_tableau(SWWord(make_frame(4, 1), "SWWWW"))
@@ -95,7 +95,7 @@ class TestTableauToSw:
                                                 (((-3, 2), (3, 4)), -3)])
     def test_names_a_first_row_label_outside_the_word(self, columns, label):
         with pytest.raises(ValueError, match=f"first-row label {label} "):
-            FussTableau(k=1, n=2, sign=1, columns=columns)
+            FussTableau.from_columns(k=1, n=2, sign=1, columns=columns)
 
 
 class TestEnExtraction:
@@ -222,18 +222,18 @@ class TestInvertFuss:
 
 class TestRowConstructors:
     def test_first_row_golden(self):
-        assert tableau_from_first_row(3, 4, (1, 3, 6, 9)).rows() == K3N4_ROWS
+        assert tableau_from_first_row(3, 4, (1, 3, 6, 9)).rows == K3N4_ROWS
 
     def test_first_row_small(self):
-        assert tableau_from_first_row(1, 2, (1, 3)).rows() == ((1, 3), (2, 4))
+        assert tableau_from_first_row(1, 2, (1, 3)).rows == ((1, 3), (2, 4))
 
     def test_bottom_row_small(self):
         T = tableau_from_bottom_row(1, 2, (2, 4))
-        assert T.rows() == ((1, 3), (2, 4))
+        assert T.rows == ((1, 3), (2, 4))
 
     def test_bottom_row_golden(self):
         T = tableau_from_bottom_row(3, 4, (7, 10, 14, 16))
-        assert T.rows() == (
+        assert T.rows == (
             (1, 3, 6, 11),
             (2, 5, 9, 13),
             (4, 8, 12, 15),
@@ -293,7 +293,7 @@ class TestRowConstructors:
                         continue
                     U = build(k, n, row)
                     assert U == tableaux[row]
-                    assert FussTableau(k=U.k, n=U.n, sign=U.sign, columns=U.columns) == U
+                    assert FussTableau.from_columns(k=U.k, n=U.n, sign=U.sign, columns=U.columns) == U
 
 
 class TestEmbeddingMonotonicity:
@@ -356,7 +356,7 @@ class TestValidate:
                 accepted = set()
                 for columns in increasing_fillings(k, n, sign):
                     try:
-                        FussTableau(k=k, n=n, sign=sign, columns=columns).validate()
+                        FussTableau.from_columns(k=k, n=n, sign=sign, columns=columns).validate()
                     except ValueError:
                         continue
                     accepted.add(columns)
@@ -377,7 +377,7 @@ class TestValidate:
                     continue
                 for columns in increasing_fillings(k, n, sign):
                     fields = (k, n, sign, columns)
-                    assert accepts(FussTableau, *fields) == accepts(oracle_validate, *fields), fields
+                    assert accepts(FussTableau.from_columns, *fields) == accepts(oracle_validate, *fields), fields
 
     def test_rejects_a_sign_the_frame_does_not_classify(self):
         # (3, 2) classifies as k = 1, sign +1.  Read as k = 2, sign -1 these rows
@@ -393,7 +393,7 @@ class TestValidate:
     def test_rejects_minus_filling_of_no_path(self):
         # Rows [[1, 3, 4], [2]] satisfy the strip conditions but encode no path.
         with pytest.raises(ValueError, match="encodes no path"):
-            FussTableau(k=1, n=3, sign=-1, columns=((1, 2), (3,), (4,)))
+            FussTableau.from_columns(k=1, n=3, sign=-1, columns=((1, 2), (3,), (4,)))
 
     @pytest.mark.parametrize(
         "columns",
@@ -403,7 +403,7 @@ class TestValidate:
     )
     def test_rejects_bad_shape_or_labels(self, columns):
         with pytest.raises(ValueError):
-            FussTableau(k=1, n=2, sign=1, columns=columns).validate()
+            FussTableau.from_columns(k=1, n=2, sign=1, columns=columns).validate()
 
     @pytest.mark.parametrize("n, sign, columns", [
         # Legal shapes that no path fills: a foot past the grid, rows crossed, and a
@@ -418,7 +418,7 @@ class TestValidate:
             "minus-foot-7", "entry-0", "column-1-3-1"])
     def test_rejects_what_no_path_fills(self, n, sign, columns):
         with pytest.raises(ValueError):
-            FussTableau(k=1, n=n, sign=sign, columns=columns)
+            FussTableau.from_columns(k=1, n=n, sign=sign, columns=columns)
         rows = [list(row) for row in sweepkit.fuss._transpose(columns)]
         with pytest.raises(ValueError):
             FussTableau.from_json(json.dumps({"k": 1, "n": n, "sign": sign, "rows": rows}))
@@ -426,13 +426,13 @@ class TestValidate:
     def test_shape_checked_at_construction(self):
         # The one column of a k = 2, n = 1, sign -1 tableau is k - 1 = 1 high, not 2.
         with pytest.raises(ValueError, match="shape"):
-            FussTableau(k=2, n=1, sign=-1, columns=((1, 2),))
+            FussTableau.from_columns(k=2, n=1, sign=-1, columns=((1, 2),))
         # Nor two columns k high: a tableau has exactly n columns.
         with pytest.raises(ValueError, match="shape"):
-            FussTableau(k=2, n=1, sign=-1, columns=((1, 2), (3, 4)))
+            FussTableau.from_columns(k=2, n=1, sign=-1, columns=((1, 2), (3, 4)))
         # A legal shape passes the shape check; that it encodes no path is validate's finding.
         with pytest.raises(ValueError, match="encodes no path"):
-            FussTableau(k=1, n=3, sign=-1, columns=((1, 2), (3,), (4,)))
+            FussTableau.from_columns(k=1, n=3, sign=-1, columns=((1, 2), (3,), (4,)))
 
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_shape_rule_on_every_height_list(self, sign):
@@ -448,7 +448,7 @@ class TestValidate:
                     for heights in itertools.product(range(k + 3), repeat=width):
                         columns = tuple(tuple(range(h)) for h in heights)
                         try:
-                            FussTableau(k=k, n=n, sign=sign, columns=columns)
+                            FussTableau.from_columns(k=k, n=n, sign=sign, columns=columns)
                             shaped = True
                         except ValueError as exc:  # validate rejects these labels, not the shape
                             shaped = "shape" not in str(exc)
@@ -518,6 +518,26 @@ class TestMinusSignShape:
         assert invert_fuss(path).steps == "NNNEE"
 
 
+class TestColumnViews:
+    def test_columns_are_derived_and_never_kept(self):
+        for T in (k3n4_tableau(), path_tableau(parse_path(make_frame(5, 3), "NNEENEEE"))):
+            walk(T)
+            assert T.columns == sweepkit.fuss._transpose(T.rows)
+            assert FussTableau.from_columns(T.k, T.n, T.sign, T.columns) == T
+            assert "columns" not in vars(T)
+            # A pickle holds the four fields, not the kept walk nor a column view.
+            assert set(vars(pickle.loads(pickle.dumps(T)))) == {"k", "n", "sign", "rows"}
+
+    def test_from_columns_rejects_rising_heights(self):
+        T = path_tableau(parse_path(make_frame(5, 3), "NNEENEEE"))
+        assert T.columns == ((1, 3, 6), (2, 4, 7), (5,))
+        # Heights (3, 1, 3): dropping the gaps would give T's rows, a legal shape.
+        rising = ((1, 3, 6), (2,), (5, 4, 7))
+        assert sweepkit.fuss._transpose(rising) == T.rows
+        with pytest.raises(ValueError, match="shape"):
+            FussTableau.from_columns(2, 3, -1, rising)
+
+
 def built_five_ways(path):
     """The tableau of a path from each constructor; ``red`` for sign +1 only."""
     T = path_tableau(path)
@@ -525,7 +545,7 @@ def built_five_ways(path):
         T,
         fill_tableau(sw_word(invert_fuss(path))),
         FussTableau.from_json(T.to_json()),
-        FussTableau(k=T.k, n=T.n, sign=T.sign, columns=T.columns),
+        FussTableau.from_columns(k=T.k, n=T.n, sign=T.sign, columns=T.columns),
     ]
     if T.sign > 0:
         # Any member of the fiber one column up reduces to T.
@@ -562,7 +582,7 @@ class TestCarriedWordAndWalk:
 
     def test_hidden_fields_stay_out_of_value_semantics(self):
         fields = [f.name for f in dataclasses.fields(FussTableau)]
-        assert fields == ["k", "n", "sign", "columns"]
+        assert fields == ["k", "n", "sign", "rows"]
         for frame in fuss_frames(14):
             for path in frame_paths(frame.m, frame.n):
                 fresh, *others = built_five_ways(path)
@@ -584,7 +604,7 @@ class TestCarriedWordAndWalk:
             for a, b in zip(paths, paths[1:]):
                 T = path_tableau(a)
                 walk(T)
-                U = dataclasses.replace(T, columns=path_tableau(b).columns)
+                U = dataclasses.replace(T, rows=path_tableau(b).rows)
                 assert "_walked" not in vars(U)
                 fresh = path_tableau(b)
                 assert walk(U).order == walk(fresh).order
@@ -597,12 +617,12 @@ class TestCarriedWordAndWalk:
             fill_tableau(tableau_to_sw(T)),
             path_tableau(tableau_to_sw(T).as_path()),
             FussTableau.from_json(T.to_json()),
-            FussTableau(k=3, n=4, sign=1, columns=T.columns),
+            FussTableau.from_columns(k=3, n=4, sign=1, columns=T.columns),
             red(fiber_by_bottom_rows(T)[0]),
             psi(T),
         ]
         M = path_tableau(SWWord(make_frame(5, 3), "SSWWWSWW").as_path())
-        minus = [M, FussTableau(k=2, n=3, sign=-1, columns=M.columns)]
+        minus = [M, FussTableau.from_columns(k=2, n=3, sign=-1, columns=M.columns)]
         calls = dict.fromkeys(["_cycle", "_fill", "tableau_to_sw"], 0)
 
         def counted(name):
@@ -630,4 +650,4 @@ class TestCarriedWordAndWalk:
         # Same first row, so the same word, but 5 and 4 swapped.
         assert good.first_row() == (1, 3) and good.columns != bad
         with pytest.raises(ValueError, match="not the column filling"):
-            FussTableau(k=2, n=2, sign=1, columns=bad)
+            FussTableau.from_columns(k=2, n=2, sign=1, columns=bad)

@@ -57,13 +57,13 @@ def big_reduced():
 class TestRed:
     def test_big_golden(self):
         T = big_tableau()
-        assert T.rows() == BIG_ROWS
-        assert red(T).rows() == BIG_REDUCED_ROWS
+        assert T.rows == BIG_ROWS
+        assert red(T).rows == BIG_REDUCED_ROWS
 
     def test_k3n4_golden(self):
         T = fill_tableau(SWWord(make_frame(13, 4), K3N4_SW))
-        assert T.rows() == K3N4_ROWS
-        assert red(T).rows() == K3N4_REDUCED_ROWS
+        assert T.rows == K3N4_ROWS
+        assert red(T).rows == K3N4_REDUCED_ROWS
 
     def test_two_columns_reduce_to_single(self):
         for path in frame_paths(5, 2):
@@ -82,7 +82,7 @@ class TestRed:
     def test_rejects_labels_it_cannot_renumber(self, columns):
         # red never sees these labels: the constructor refuses the tableau.
         with pytest.raises(ValueError):
-            red(FussTableau(k=1, n=2, sign=1, columns=columns))
+            red(FussTableau.from_columns(k=1, n=2, sign=1, columns=columns))
 
     def test_too_narrow(self):
         T = path_tableau(parse_path(make_frame(4, 1), "NEEEE"))
@@ -109,7 +109,7 @@ class TestPsi:
         assert sweepkit.psi is sweepkit.fuss.psi is sweepkit.reduction.psi
 
     def test_golden(self):
-        assert psi(big_reduced()).rows() == BIG_PSI_OF_REDUCED_ROWS
+        assert psi(big_reduced()).rows == BIG_PSI_OF_REDUCED_ROWS
 
     def test_first_row_is_complemented_bottom_row(self):
         for frame in fuss_frames(12, sign=+1):
@@ -157,7 +157,7 @@ class TestFiberSolutions:
         assert [T.bottom_row()[0] for T in members] == [4, 5, 6, 7, 8, 9, 10]
         assert all(T.bottom_row()[1:] == (11, 14, 18, 20) for T in members)
         by_b1 = {T.bottom_row()[0]: T for T in members}
-        assert by_b1[10].rows() == BIG_ROWS
+        assert by_b1[10].rows == BIG_ROWS
         assert area_from_bottom_row(by_b1[8]) == 11
 
     def test_cutting_golden(self):
