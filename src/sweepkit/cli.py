@@ -128,7 +128,7 @@ def cmd_fiber(args) -> int:
     members = []
     for D in fiber_by_cutting(T_reduced):
         T = path_tableau(D)  # its walk spells the preimage, whose area is the bounce
-        members.append({"tableau": json.loads(T.to_json()), "area": area(D),
+        members.append({"tableau": T._json_fields(), "area": area(D),
                         "bounce": area(_walk_path(T))})
     print(json.dumps(members))
     return 0

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from array import array
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import accumulate, compress, repeat
-from operator import add, and_, indexOf, lt
+from operator import add, and_, indexOf, lt, rshift
 from typing import Iterator, Optional, Sequence
 
 from .errors import BelowDiagonal, NotCoprime, NotFuss, WrongStepCounts
@@ -23,11 +25,12 @@ from .errors import BelowDiagonal, NotCoprime, NotFuss, WrongStepCounts
 NORTH = "N"
 EAST = "E"
 
-# Step word bytes -> 1 at each E, 0 at each N; the low two bits of a rank-sort key ->
-# the letter of the low bit (the step's own) or of the high bit (the step before).
+# Step word bytes -> 1 at each E, 0 at each N; the low byte of a rank-sort key (byte _LOW_BYTE
+# of its 8 in an array('q')) -> the letter of bit 0 (the step's own) or bit 1 (the step before).
 _E_FLAGS = bytes.maketrans(b"NE", b"\0\1")
-_OWN_LETTERS = bytes.maketrans(b"\0\1\2\3", b"NENE")
-_BEFORE_LETTERS = bytes.maketrans(b"\0\1\2\3", b"NNEE")
+_OWN_LETTERS = b"NE" * 128
+_BEFORE_LETTERS = b"NNEE" * 64
+_LOW_BYTE = 0 if sys.byteorder == "little" else 7
 
 
 @dataclass(frozen=True)
@@ -117,13 +120,19 @@ def _rank_keys(frame: Frame, steps: str) -> list[int]:
     return list(map(add, _prefix_ranks(2 * frame.m, 2 * frame.n, steps), flags))
 
 
+def _low_bytes(keys: array) -> bytes:
+    """Each key's low byte off an array('q')'s raw bytes: two's complement, so its low bits."""
+    return keys.tobytes()[_LOW_BYTE::8]
+
+
 def _rank_sort(keys: list[int]) -> str:
     """Sort ``_rank_keys`` in place and spell their letters: the sweep of the word's path
     rotation (sweep reads the steps by start rank), for ``reduction``'s ``fiber_by_cutting``
     and ``reduced_path_of``.  The ranks are distinct, so the low bit of each key, negative
-    or not, is its letter.  ``DyckPath._rank_words`` sorts its own keys for the sweep."""
+    (a rotated word) or not, is its letter, read by ``_low_bytes`` as for the sweep's keys
+    in ``DyckPath._rank_words``, which sorts its own."""
     keys.sort()
-    return bytes(map(and_, keys, repeat(1))).translate(_OWN_LETTERS).decode("ascii")
+    return _low_bytes(array("q", keys)).translate(_OWN_LETTERS).decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -136,8 +145,8 @@ class DyckPath:
     after East steps, since North steps only raise it.  Only on failure is
     the word scanned again, to report the first offending prefix.
 
-    The rank words of a swept path are kept in ``_rank_words``, a cached property
-    and not a field, so equality, hashing, repr, JSON, ``dataclasses.replace``,
+    The rank words of a swept path and their sorted keys are kept in ``_rank_words``, a
+    cached property and not a field, so equality, hashing, repr, JSON, ``dataclasses.replace``,
     pickle and ``copy`` ignore them; they live as long as the path.
     """
 
@@ -167,24 +176,25 @@ class DyckPath:
         return json.dumps({"m": self.frame.m, "n": self.frame.n, "steps": self.steps})
 
     @cached_property
-    def _rank_words(self) -> tuple[str, str]:
-        """``(image steps, EN letters)``: the letters of the steps in increasing start
-        rank, and beside each the letter of the step before it, cyclically.
+    def _rank_words(self) -> tuple[str, str, array]:
+        """``(image steps, EN letters, sorted keys)``: the letters of the steps in increasing
+        start rank, beside each the letter of the step before it, cyclically, and the keys.
 
         The end rank of a step is the start rank of the next one (for the last step,
-        of the first), so both words order the same m+n distinct start ranks, and
-        one sort of the keys 4*rank + 2*(step before is E) + (step is E) spells both.
-        The two flag bits are one carry-free big-integer sum, since no byte exceeds 3.
+        of the first), so both words order the same m+n distinct start ranks, and one
+        sort of the keys 4*rank + 2*(step before is E) + (step is E) spells both from
+        their low bytes.  The two flag bits are one carry-free big-integer sum, since no
+        byte exceeds 3.  The keys stay, an array('q') of 8 bytes a step, for rank_sequence.
         """
         m, n, steps = self.frame.m, self.frame.n, self.steps
         own = steps.encode().translate(_E_FLAGS)
         before = own[-1:] + own[:-1]
         flags = int.from_bytes(own, "big") + 2 * int.from_bytes(before, "big")
-        keys = list(map(add, _prefix_ranks(4 * m, 4 * n, steps), flags.to_bytes(len(own), "big")))
-        keys.sort()
-        low = bytes(map(and_, keys, repeat(3)))
+        keys = array("q", sorted(map(add, _prefix_ranks(4 * m, 4 * n, steps),
+                                     flags.to_bytes(len(own), "big"))))
+        low = _low_bytes(keys)
         return (low.translate(_OWN_LETTERS).decode("ascii"),
-                low.translate(_BEFORE_LETTERS).decode("ascii"))
+                low.translate(_BEFORE_LETTERS).decode("ascii"), keys)
 
 
 def parse_path(frame: Frame, word: str | Sequence[str]) -> DyckPath:
@@ -244,7 +254,11 @@ class RankSequence:
 
 
 def rank_sequence(path: DyckPath) -> RankSequence:
-    """Sorted start ranks, unchecked: coprime ranks are distinct and the least is 0."""
+    """Sorted start ranks, unchecked: coprime ranks are distinct and the least is 0.  A path
+    that holds its rank sort (``DyckPath._rank_words``: swept, or its SW or EN word taken)
+    gives them as its sorted keys >> 2; any other path sorts its ranks and keeps nothing."""
+    if kept := vars(path).get("_rank_words"):
+        return _unchecked(RankSequence, values=tuple(map(rshift, kept[2], repeat(2))))
     return _unchecked(RankSequence,
                       values=tuple(sorted(_prefix_ranks(path.frame.m, path.frame.n, path.steps))))
 
@@ -298,12 +312,14 @@ def dinv(path: DyckPath) -> int:
 def rank_complement(path: DyckPath) -> DyckPath:
     """Cut at the highest-rank vertex as A|B and rotate BA by 180 degrees.
 
-    An involution on the frame's paths that preserves dinv; built unchecked.
-    One rank walk, kept, then two C-level scans of it.
+    An involution on the frame's paths that preserves dinv; built unchecked.  One lazy
+    rank walk finds the highest rank r.  Its vertex i, after a N's, has r = a*m - (i-a)*n,
+    so a = r/m mod n (n for 0: only the origin has a = 0) and i = (a*(m+n) - r)/n.
     """
-    steps = path.steps
-    rs = tuple(_prefix_ranks(path.frame.m, path.frame.n, steps))
-    i = rs.index(max(rs))
+    m, n, steps = path.frame.m, path.frame.n, path.steps
+    r = max(_prefix_ranks(m, n, steps))
+    a = r * pow(m, -1, n) % n or n
+    i = (a * (m + n) - r) // n
     return _unchecked(DyckPath, frame=path.frame, steps=(steps[i:] + steps[:i])[::-1])
 
 

@@ -166,8 +166,10 @@ class FussTableau:
         if _tableau(frame, steps).rows != self.rows:
             raise ValueError("tableau is not the column filling of its first row")
 
+    _json_fields = _field_state  # the object to_json writes, for callers that nest it in theirs
+
     def to_json(self) -> str:
-        return json.dumps({"k": self.k, "n": self.n, "sign": self.sign, "rows": self.rows})
+        return json.dumps(self._json_fields())
 
     @classmethod
     def from_json(cls, text: str) -> "FussTableau":

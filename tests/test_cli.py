@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -19,6 +20,8 @@ import sweepkit.suites
 from sweepkit import (
     BelowDiagonal,
     DyckPath,
+    area,
+    bounce,
     en_word,
     enumerate_paths,
     fiber_by_cutting,
@@ -187,6 +190,19 @@ class TestTableauCommands:
         # One fill checks the input and one builds each member's tableau, whose walk
         # spells the preimage that the bounce is the area of.
         assert len(calls) == 1 + len(members)
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "6ffd0099f700e51aad57a6ebfa36530e31ee96f95ffb8e4090ba6d94ade6df67"),
+        (1, "9293b4bdaa3b87e63f9683608bc65b55b58fb1c6558744d1b8f09505c08a4435"),
+    ])
+    def test_fiber_stdout_nests_each_tableau_as_its_json(self, capsys, seed, digest):
+        # Byte for byte the output of nesting json.loads(T.to_json()) per member.
+        reduced = red(path_tableau(random_path(make_frame(27, 13), random.Random(seed))))
+        _, out, _ = run(capsys, "fiber", "--tableau-json", reduced.to_json())
+        members = [{"tableau": json.loads(path_tableau(D).to_json()), "area": area(D),
+                    "bounce": bounce(D)} for D in fiber_by_cutting(reduced)]
+        assert out == json.dumps(members) + "\n"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_bad_json_exit_1(self, capsys):
         code, _, _ = run(capsys, "red", "--tableau-json", "{not json")

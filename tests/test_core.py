@@ -1,5 +1,6 @@
 import itertools
 import math
+from array import array
 
 import pytest
 
@@ -21,7 +22,7 @@ from sweepkit import (
     ranks,
     sweep,
 )
-from sweepkit.core import _lowest_rank_rotation
+from sweepkit.core import _low_bytes, _lowest_rank_rotation, _prefix_ranks, _rank_keys, _rank_sort
 from helpers import (
     FIG_DINV,
     FIG_FRAME,
@@ -155,6 +156,40 @@ class TestRanks:
         assert rank_sequence(parse_path(make_frame(3, 2), "NNEEE")).values == (0, 2, 3, 4, 6)
         assert rank_sequence(parse_path(make_frame(3, 1), "NEEE")).values == (0, 1, 2, 3)
 
+    def test_sorted_before_and_after_the_kept_rank_sort(self):
+        # Before a sweep rank_sequence sorts the ranks and keeps nothing; after one it
+        # reads the path's kept sorted keys.
+        for frame in coprime_frames(12):
+            for path in frame_paths(frame.m, frame.n):
+                path = DyckPath(frame, path.steps)
+                expected = tuple(sorted(ranks(path)))
+                assert rank_sequence(path).values == expected
+                assert "_rank_words" not in vars(path)
+                sweep(path)
+                assert "_rank_words" in vars(path)
+                assert rank_sequence(path).values == expected
+
+    def test_low_bytes_are_twos_complement(self):
+        keys = [0, 1, 2, 3, 255, 256, 257, -1, -2, -3, -4, -256, -257, 2**40 + 5, -(2**40) - 5,
+                2**62, -(2**63)]
+        assert _low_bytes(array("q", keys)) == bytes(key & 255 for key in keys)
+
+    def test_rank_sort_spells_rotated_words_by_rank(self):
+        # A rotated word starts at a vertex of positive rank, so its keys can be
+        # negative; their two's-complement low bytes still carry the letters.
+        negative = 0
+        for frame in coprime_frames(10):
+            m, n = frame.m, frame.n
+            for path in frame_paths(m, n):
+                for i in range(frame.size):
+                    word = path.steps[i:] + path.steps[:i]
+                    keys = _rank_keys(frame, word)
+                    negative += min(keys) < 0
+                    by_rank = sorted(zip(_prefix_ranks(m, n, word), word))
+                    assert _rank_sort(keys) == "".join(ch for _, ch in by_rank)
+                    assert keys == sorted(keys)  # sorted in place, for fiber_by_cutting
+        assert negative > 0
+
     def test_distinct_nonnegative_start_zero(self):
         for frame in coprime_frames(11):
             for path in frame_paths(frame.m, frame.n):
@@ -238,6 +273,17 @@ class TestRankComplement:
                 comp = rank_complement(path)
                 assert rank_complement(comp) == path
                 assert dinv(comp) == dinv(path)
+
+    def test_cut_is_the_vertex_of_highest_rank(self):
+        # The cut found from the highest rank alone is the index of that rank; a word
+        # of coprime letter counts has no two equal rotations, so the images tell.
+        frames = coprime_frames(14)
+        assert {1, 2} <= {frame.n for frame in frames}
+        for frame in frames:
+            for path in frame_paths(frame.m, frame.n):
+                rs, steps = ranks(path), path.steps
+                i = rs.index(max(rs))
+                assert rank_complement(path).steps == (steps[i:] + steps[:i])[::-1]
 
     def test_small_frame_fixed_points(self):
         # Both (3,2) paths are self-complementary.
