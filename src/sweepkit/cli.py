@@ -65,6 +65,8 @@ def _path_json(path: DyckPath) -> dict:
 def cmd_stats(args) -> int:
     path = _path_from_args(args)
     frame = path.frame
+    # The words first: their one rank sort stays on the path for rank_sequence and dinv.
+    sw, en = sw_word(path).letters, en_word(path).letters
     report = {
         "m": frame.m,
         "n": frame.n,
@@ -75,8 +77,8 @@ def cmd_stats(args) -> int:
         "area": area(path),
         "coarea": coarea(path) if frame.fuss is not None else None,
         "dinv": dinv(path),
-        "sw_word": sw_word(path).letters,
-        "en_word": en_word(path).letters,
+        "sw_word": sw,
+        "en_word": en,
     }
     print(json.dumps(report))
     return 0

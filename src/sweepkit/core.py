@@ -184,7 +184,7 @@ class DyckPath:
         of the first), so both words order the same m+n distinct start ranks, and one
         sort of the keys 4*rank + 2*(step before is E) + (step is E) spells both from
         their low bytes.  The two flag bits are one carry-free big-integer sum, since no
-        byte exceeds 3.  The keys stay, an array('q') of 8 bytes a step, for rank_sequence.
+        byte exceeds 3.  The keys stay, an array('q') of 8 bytes a step, for ``_kept_keys``.
         """
         m, n, steps = self.frame.m, self.frame.n, self.steps
         own = steps.encode().translate(_E_FLAGS)
@@ -253,12 +253,18 @@ class RankSequence:
         return self.values[i]
 
 
+def _kept_keys(path: DyckPath) -> Optional[array]:
+    """The sorted keys of ``DyckPath._rank_words`` if the path holds its rank sort (swept, or
+    its SW or EN word taken), else None; never sorts, so no statistic builds the sort."""
+    kept = vars(path).get("_rank_words")
+    return kept[2] if kept else None
+
+
 def rank_sequence(path: DyckPath) -> RankSequence:
-    """Sorted start ranks, unchecked: coprime ranks are distinct and the least is 0.  A path
-    that holds its rank sort (``DyckPath._rank_words``: swept, or its SW or EN word taken)
-    gives them as its sorted keys >> 2; any other path sorts its ranks and keeps nothing."""
-    if kept := vars(path).get("_rank_words"):
-        return _unchecked(RankSequence, values=tuple(map(rshift, kept[2], repeat(2))))
+    """Sorted start ranks, unchecked: coprime ranks are distinct and the least is 0.  Kept
+    keys (``_kept_keys``) give them as each key >> 2; otherwise the ranks are sorted here."""
+    if keys := _kept_keys(path):
+        return _unchecked(RankSequence, values=tuple(map(rshift, keys, repeat(2))))
     return _unchecked(RankSequence,
                       values=tuple(sorted(_prefix_ranks(path.frame.m, path.frame.n, path.steps))))
 
@@ -297,13 +303,15 @@ def coarea(path: DyckPath) -> int:
 def dinv(path: DyckPath) -> int:
     """dinv through the sweep transport: dinv(D) = area(sweep(D)).
 
-    The sweep image's step word is the path's letters in increasing
-    start-rank order, so dinv is one rank sort, O((m+n) log(m+n)) with no
-    image path built.  The sorted keys are not spelled: their low bits are the
-    image's E flags, which ``_east_area`` turns into its area.  The O(mn) cell
-    rule this identity replaces is kept as ``oracle.oracle_dinv``, and the
-    tests check the two against each other exhaustively.
+    The sweep image's step word is the path's letters in increasing start-rank order, so
+    dinv is the ``_east_area`` of its E flags: the kept image's steps when the path holds
+    its rank sort (``_kept_keys``), else the low bits of the keys 2*rank + (1 for East),
+    sorted here in O((m+n) log(m+n)) and kept nowhere.  The O(mn) cell rule this identity
+    replaces is kept as ``oracle.oracle_dinv``, and the tests check the two against each
+    other exhaustively.
     """
+    if _kept_keys(path):
+        return _east_area(path.frame, path._rank_words[0].encode().translate(_E_FLAGS))
     keys = _rank_keys(path.frame, path.steps)
     keys.sort()
     return _east_area(path.frame, map(and_, keys, repeat(1)))
@@ -312,12 +320,14 @@ def dinv(path: DyckPath) -> int:
 def rank_complement(path: DyckPath) -> DyckPath:
     """Cut at the highest-rank vertex as A|B and rotate BA by 180 degrees.
 
-    An involution on the frame's paths that preserves dinv; built unchecked.  One lazy
-    rank walk finds the highest rank r.  Its vertex i, after a N's, has r = a*m - (i-a)*n,
-    so a = r/m mod n (n for 0: only the origin has a = 0) and i = (a*(m+n) - r)/n.
+    An involution on the frame's paths that preserves dinv; built unchecked.  The highest
+    rank r is the last kept key >> 2 (``_kept_keys``), else a lazy rank walk's max.  Its
+    vertex i, after a N's, has r = a*m - (i-a)*n, so a = r/m mod n (n for 0: only the origin
+    has a = 0) and i = (a*(m+n) - r)/n.
     """
     m, n, steps = path.frame.m, path.frame.n, path.steps
-    r = max(_prefix_ranks(m, n, steps))
+    keys = _kept_keys(path)
+    r = keys[-1] >> 2 if keys else max(_prefix_ranks(m, n, steps))
     a = r * pow(m, -1, n) % n or n
     i = (a * (m + n) - r) // n
     return _unchecked(DyckPath, frame=path.frame, steps=(steps[i:] + steps[:i])[::-1])

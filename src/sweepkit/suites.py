@@ -91,27 +91,29 @@ def _fuss_paths(frames):
 
 
 def _transport(D: DyckPath, preimages: dict[str, str], last: bool) -> dict:
+    cells, complement = dinv(D), rank_complement(D)  # before the sweep: a sort and a max
     frame, image, sw, en = D.frame, sweep(D), sw_word(D), en_word(D)
-    complement, rs, preimage = rank_complement(D), rank_sequence(D), bipartite_invert(sw, en)[0]
-    return {"path count": path_count(frame) if last else None, "dinv": dinv(D),
-            "area(sweep)": area(image),
+    rs, preimage = rank_sequence(D), bipartite_invert(sw, en)[0]
+    return {"path count": path_count(frame) if last else None, "dinv": cells,
+            "dinv(kept sort)": dinv(D), "area(sweep)": area(image),
             "sweep preimage": preimages.setdefault(image.steps, D.steps),
             "parse_path(enumerate_paths)": parse_path(frame, D.steps) == D,
             "parse_path(sweep)": parse_path(frame, image.steps) == image,
             "SWWord(sw_word)": SWWord(frame, sw.letters).as_path() == sw.as_path(),
             "ENWord(en_word)": ENWord(frame, en.letters) == en,
             "parse_path(rank_complement)": parse_path(frame, complement.steps) == complement,
+            "rank_complement(kept sort)": rank_complement(D).steps == complement.steps,
             "RankSequence(rank_sequence)": RankSequence(rs.values) == rs,
             "parse_path(bipartite_invert)": parse_path(frame, preimage.steps).steps}
 
 
 def _transport_expected(D: DyckPath, count: int | None) -> dict:
     cells = oracle_dinv(D)
-    return {"path count": count, "dinv": cells, "area(sweep)": cells, "sweep preimage": D.steps,
-            "parse_path(enumerate_paths)": True, "parse_path(sweep)": True,
-            "SWWord(sw_word)": True, "ENWord(en_word)": True,
-            "parse_path(rank_complement)": True, "RankSequence(rank_sequence)": True,
-            "parse_path(bipartite_invert)": D.steps}
+    return {"path count": count, "dinv": cells, "dinv(kept sort)": cells, "area(sweep)": cells,
+            "sweep preimage": D.steps, "parse_path(enumerate_paths)": True,
+            "parse_path(sweep)": True, "SWWord(sw_word)": True, "ENWord(en_word)": True,
+            "parse_path(rank_complement)": True, "rank_complement(kept sort)": True,
+            "RankSequence(rank_sequence)": True, "parse_path(bipartite_invert)": D.steps}
 
 
 def _transport_cases(frames):
@@ -127,7 +129,8 @@ def _transport_cases(frames):
 
 
 def sweep_transport(frames) -> tuple[int, Counterexample | None]:
-    """Path count, sweep injective, dinv = cell-rule dinv = area of the image, every
+    """Path count, sweep injective, dinv = cell-rule dinv = area of the image, dinv and
+    the rank complement alike before and after the sweep keeps its rank sort, every
     enumerated path and every output built unchecked valid, and
     bipartite_invert(sw_word, en_word) the path."""
     return _first("sweep transport", _transport_cases(frames))

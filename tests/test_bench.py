@@ -4,7 +4,8 @@ from functools import partial
 
 import pytest
 
-from sweepkit import bench, make_frame, parse_path, path_count, rank_sequence
+from sweepkit import (bench, dinv, make_frame, parse_path, path_count, rank_complement,
+                      rank_sequence)
 from sweepkit.bench import random_path, time_layers
 from sweepkit.cli import main
 from sweepkit.sweep import en_word, sw_word, sweep
@@ -62,13 +63,13 @@ def test_time_layers_times_every_layer_on_a_fresh_path(monkeypatch):
     def recording(layer):
         return lambda p: lambda: (cached_at_call.append("_rank_words" in vars(p)), layer(p))
 
-    # rank_sequence reads the kept sort when the path holds one.
+    # rank_sequence, rank_complement and dinv read the kept sort when the path holds one.
     layers = {"sweep": sweep, "sw_word": sw_word, "en_word": en_word,
-              "rank_sequence": rank_sequence}
+              "rank_sequence": rank_sequence, "rank_complement": rank_complement, "dinv": dinv}
     for name, layer in layers.items():
         monkeypatch.setitem(bench.LAYERS, name, recording(layer))
     time_layers(k=2, sign=1, sizes=[10, 20], reps=2, seed=0, layers=tuple(layers))
-    assert cached_at_call == [False] * 16  # 4 layers x 2 sizes x 2 reps
+    assert cached_at_call == [False] * 24  # 6 layers x 2 sizes x 2 reps
 
 
 @pytest.mark.parametrize("sign", [1, -1])

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sweepkit.bench
+import sweepkit.core
 import sweepkit.fuss
 import sweepkit.qtcatalan
 import sweepkit.suites
@@ -59,6 +60,29 @@ class TestStats:
         assert tuple(report["rank_sequence"]) == FIG_RANK_SEQUENCE
         assert report["sw_word"] == FIG_SW
         assert report["en_word"] == FIG_EN
+
+    @pytest.mark.parametrize("m, n, seed, digest", [
+        (27, 13, 0, "09e525a7fc1f5f46a5f5a6149b7c3576bdac7e38adab6589957b713d72943fe0"),
+        (29, 13, 1, "9bf486ccb3d430aa76cd17cbb1dc0612a4727db63aa09aec12234cb305e1b1ca"),
+        (10001, 5000, 0, "ba3a38f7499d8cdde267653043eb76d9ee161993ba46de1fe0a8f2f614128b52"),
+        (9999, 5000, 1, "d77f25e4aff323c2d82af1c4737fdf51d74924d291aa413c3ae18c7c62e8040b"),
+    ])
+    def test_stdout_is_pinned(self, capsys, m, n, seed, digest):
+        # The report, key order included, whatever order its statistics are taken in.
+        word = random_path(make_frame(m, n), random.Random(seed)).steps
+        _, out, _ = run(capsys, "stats", "--m", str(m), "--n", str(n), "--word", word)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_sorts_the_ranks_once(self, capsys, monkeypatch):
+        # The words take the path's one rank sort; rank_sequence and dinv read it.
+        sorts = []
+        keys = sweepkit.core._rank_keys
+        monkeypatch.setattr(sweepkit.core, "sorted",
+                            lambda values: sorts.append("sorted") or sorted(values), raising=False)
+        monkeypatch.setattr(sweepkit.core, "_rank_keys",
+                            lambda *args: sorts.append("_rank_keys") or keys(*args))
+        assert run(capsys, "stats", "--m", "7", "--n", "5", "--word", FIG_WORD)[0] == 0
+        assert sorts == ["sorted"]
 
     def test_strip_all_zero(self, capsys):
         code, out, _ = run(capsys, "stats", "--m", "3", "--n", "1", "--word", "NEEE")

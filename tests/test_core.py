@@ -157,17 +157,21 @@ class TestRanks:
         assert rank_sequence(parse_path(make_frame(3, 1), "NEEE")).values == (0, 1, 2, 3)
 
     def test_sorted_before_and_after_the_kept_rank_sort(self):
-        # Before a sweep rank_sequence sorts the ranks and keeps nothing; after one it
-        # reads the path's kept sorted keys.
+        # Before a sweep rank_sequence sorts the ranks, rank_complement walks them for the
+        # highest and dinv sorts its own keys, each keeping nothing; after one all three
+        # read the path's kept sorted keys.
+        statistics = (rank_sequence, rank_complement, dinv)
         for frame in coprime_frames(12):
             for path in frame_paths(frame.m, frame.n):
                 path = DyckPath(frame, path.steps)
-                expected = tuple(sorted(ranks(path)))
-                assert rank_sequence(path).values == expected
-                assert "_rank_words" not in vars(path)
+                fresh = []
+                for statistic in statistics:
+                    fresh.append(statistic(path))
+                    assert "_rank_words" not in vars(path)
+                assert fresh[0].values == tuple(sorted(ranks(path)))
                 sweep(path)
                 assert "_rank_words" in vars(path)
-                assert rank_sequence(path).values == expected
+                assert [statistic(path) for statistic in statistics] == fresh
 
     def test_low_bytes_are_twos_complement(self):
         keys = [0, 1, 2, 3, 255, 256, 257, -1, -2, -3, -4, -256, -257, 2**40 + 5, -(2**40) - 5,
