@@ -52,12 +52,6 @@ def _path_from_args(args) -> DyckPath:
     raise SweepkitError("an EN word alone does not determine a path")
 
 
-def _tableau_from_args(args) -> FussTableau:
-    if getattr(args, "tableau_json", None):
-        return FussTableau.from_json(args.tableau_json)
-    return path_tableau(_path_from_args(args))
-
-
 def _path_json(path: DyckPath) -> dict:
     return {"m": path.frame.m, "n": path.frame.n, "steps": path.steps}
 
@@ -110,7 +104,8 @@ def cmd_invert(args) -> int:
 
 
 def cmd_tableau(args) -> int:
-    T = _tableau_from_args(args)
+    T = (FussTableau.from_json(args.tableau_json) if args.tableau_json
+         else path_tableau(_path_from_args(args)))
     print(T.to_json())
     print(T.render_text(), file=sys.stderr)
     return 0

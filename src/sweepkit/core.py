@@ -17,7 +17,7 @@ from array import array
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import accumulate, compress, repeat
-from operator import add, and_, indexOf, lt, rshift
+from operator import add, and_, lt, rshift
 from typing import Iterator, Optional, Sequence
 
 from .errors import BelowDiagonal, NotCoprime, NotFuss, WrongStepCounts
@@ -95,21 +95,24 @@ def _prefix_ranks(m: int, n: int, steps: str) -> Iterator[int]:
     return accumulate(map({NORTH: m, EAST: -n}.__getitem__, steps[:-1]), initial=0)
 
 
-def _rotation_at(m: int, n: int, steps: str, rank: int) -> str:
-    """The cyclic rotation of the word that starts at its first vertex of the
-    given start rank; ValueError if no step starts there.  One C-level pass."""
-    i = indexOf(_prefix_ranks(m, n, steps), rank)
-    return steps[i:] + steps[:i]
+def _vertex_of_rank(m: int, n: int, rank: int) -> int:
+    """Index i of the vertex of the given start rank in any word of n N's and m E's (m, n
+    coprime) that has one, unchecked; ``oracle.oracle_vertex_of_rank`` searches instead.  After
+    a N's it has rank a*m - (i-a)*n, so a = rank/m mod n (n if n divides a positive rank, 0
+    if another) and i = (a*(m+n) - rank)/n."""
+    a = rank * pow(m, -1, n) % n or (n if rank > 0 else 0)
+    return (a * (m + n) - rank) // n
 
 
 def _lowest_rank_rotation(m: int, n: int, steps: str) -> str:
     """The cyclic rotation of the word that starts at its lowest-rank vertex.
 
     For a word of n N's and m E's, m and n coprime, this is the only
-    rotation that is a path of the frame (the cycle lemma).  Two C-level
-    passes over the start ranks, none of them stored.
+    rotation that is a path of the frame (the cycle lemma).  One C-level
+    pass over the start ranks, for their min, whose vertex ``_vertex_of_rank`` gives.
     """
-    return _rotation_at(m, n, steps, min(_prefix_ranks(m, n, steps)))
+    i = _vertex_of_rank(m, n, min(_prefix_ranks(m, n, steps)))
+    return steps[i:] + steps[:i]
 
 
 def _rank_keys(frame: Frame, steps: str) -> list[int]:
@@ -321,15 +324,12 @@ def rank_complement(path: DyckPath) -> DyckPath:
     """Cut at the highest-rank vertex as A|B and rotate BA by 180 degrees.
 
     An involution on the frame's paths that preserves dinv; built unchecked.  The highest
-    rank r is the last kept key >> 2 (``_kept_keys``), else a lazy rank walk's max.  Its
-    vertex i, after a N's, has r = a*m - (i-a)*n, so a = r/m mod n (n for 0: only the origin
-    has a = 0) and i = (a*(m+n) - r)/n.
+    rank is the last kept key >> 2 (``_kept_keys``), else a lazy rank walk's max, and
+    ``_vertex_of_rank`` gives its vertex.
     """
     m, n, steps = path.frame.m, path.frame.n, path.steps
     keys = _kept_keys(path)
-    r = keys[-1] >> 2 if keys else max(_prefix_ranks(m, n, steps))
-    a = r * pow(m, -1, n) % n or n
-    i = (a * (m + n) - r) // n
+    i = _vertex_of_rank(m, n, keys[-1] >> 2 if keys else max(_prefix_ranks(m, n, steps)))
     return _unchecked(DyckPath, frame=path.frame, steps=(steps[i:] + steps[:i])[::-1])
 
 

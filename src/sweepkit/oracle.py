@@ -10,8 +10,9 @@ walk over arbitrary columns that ``fuss._cycle`` replaced,
 ``sweep.bipartite_invert`` replaced, ``oracle_fiber_by_cutting`` the
 lift-and-sweep per cut that ``reduction.fiber_by_cutting`` replaced,
 ``oracle_validate`` the round trip through a second tableau that
-``FussTableau.validate`` replaced, and ``oracle_red`` the bisection per entry
-that ``reduction.red`` replaced; all are kept as references.
+``FussTableau.validate`` replaced, ``oracle_red`` the bisection per entry
+that ``reduction.red`` replaced, and ``oracle_vertex_of_rank`` the search of the
+rank walk that ``core._vertex_of_rank`` replaced; all are kept as references.
 ``oracle_invert_sweep`` is the package's only brute-force sweep inversion.
 """
 
@@ -21,10 +22,11 @@ import math
 from bisect import bisect_left
 from collections import deque
 from functools import lru_cache
+from operator import indexOf
 from typing import Iterator
 
-from .core import (EAST, NORTH, DyckPath, Frame, Fuss, RankSequence, _unchecked,
-                   enumerate_paths, make_frame, ranks)
+from .core import (EAST, NORTH, DyckPath, Frame, Fuss, RankSequence, _prefix_ranks,
+                   _unchecked, enumerate_paths, make_frame, ranks)
 from .errors import (
     FrameTooLarge,
     InconsistentPair,
@@ -123,6 +125,11 @@ def oracle_bipartite_invert(sw: SWWord, en: ENWord) -> tuple[DyckPath, RankSeque
         raise InconsistentPair("recovered ranks are not increasing along the words")
     word = "".join(NORTH if sw.letters[p] == S_STEP else EAST for p in order)
     return DyckPath(sw.frame, word), RankSequence(tuple(rank_at))
+
+
+def oracle_vertex_of_rank(m: int, n: int, steps: str, rank: int) -> int:
+    """Index of the first step of the word that starts at the rank, by search; else ValueError."""
+    return indexOf(_prefix_ranks(m, n, steps), rank)
 
 
 def _east_heights(path: DyckPath) -> list[int]:

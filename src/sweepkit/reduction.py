@@ -19,8 +19,8 @@ from .core import (
     DyckPath,
     _rank_keys,
     _rank_sort,
-    _rotation_at,
     _unchecked,
+    _vertex_of_rank,
     make_frame,
     parse_path,
     ranks,
@@ -75,20 +75,20 @@ def cut_and_lift(preimage: DyckPath, r: int) -> DyckPath:
 
     With preimage = A B cut at the vertex of rank r < m', the lifted path is
     N B A E^k one frame up; its sweep image reduces back to the original
-    tableau, and its cobounce exceeds the reduced one by exactly r.
+    tableau, and its cobounce exceeds the reduced one by exactly r.  As r comes
+    from the caller, the vertex ``_vertex_of_rank`` gives is checked to have rank r.
     """
     frame = preimage.frame
     if frame.fuss is None or frame.fuss.sign != +1:
         raise NotFuss("cut_and_lift needs an m = kn+1 frame")
-    k = frame.fuss.k
-    if r >= frame.m:
-        raise RankTooLarge(f"rank {r} >= {frame.m} lifts to no valid path")
-    try:
-        rotated = _rotation_at(frame.m, frame.n, preimage.steps, r)
-    except ValueError:
-        raise RankNotPresent(f"rank {r} is not a vertex rank") from None
-    lifted_frame = make_frame(k * (frame.n + 1) + 1, frame.n + 1)
-    return parse_path(lifted_frame, "N" + rotated + "E" * k)
+    m, n, k, steps = frame.m, frame.n, frame.fuss.k, preimage.steps
+    if r >= m:
+        raise RankTooLarge(f"rank {r} >= {m} lifts to no valid path")
+    i = _vertex_of_rank(m, n, r)
+    if not (0 <= i < m + n and steps.count(NORTH, 0, i) * (m + n) - i * n == r):
+        raise RankNotPresent(f"rank {r} is not a vertex rank")
+    lifted_frame = make_frame(k * (n + 1) + 1, n + 1)
+    return parse_path(lifted_frame, NORTH + steps[i:] + steps[:i] + EAST * k)
 
 
 def fiber_by_cutting(T_reduced: FussTableau) -> list[DyckPath]:

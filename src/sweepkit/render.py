@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 from .core import DyckPath, ranks
 
 CELL = 40
@@ -25,7 +23,7 @@ def render_svg(path: DyckPath, labels: bool = True) -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f"<title>{escape(f'({m},{n}) path {path.steps}')}</title>",
+        f"<title>({m},{n}) path {path.steps}</title>",  # two ints and an N/E word: no escaping
         '<g stroke="#cccccc" stroke-width="1">',
     ]
     for x in range(m + 1):

@@ -160,6 +160,15 @@ class TestSweepInvert:
                              capture_output=True, text=True).stdout
         assert out == "False\n"
 
+    def test_import_loads_no_web_stack(self):
+        # render's title needs no XML escaping, so nothing pulls in xml.sax and with it urllib.
+        unwanted = ("xml.sax", "urllib.request", "http.client", "ssl")
+        code = f"import sys, sweepkit; print([m for m in {unwanted!r} if m in sys.modules])"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "[]\n"
+
 
 class TestTableauCommands:
     def test_tableau_golden(self, capsys):

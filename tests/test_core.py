@@ -22,7 +22,9 @@ from sweepkit import (
     ranks,
     sweep,
 )
-from sweepkit.core import _low_bytes, _lowest_rank_rotation, _prefix_ranks, _rank_keys, _rank_sort
+from sweepkit.core import (_low_bytes, _lowest_rank_rotation, _prefix_ranks, _rank_keys,
+                           _rank_sort, _vertex_of_rank)
+from sweepkit.oracle import oracle_vertex_of_rank
 from helpers import (
     FIG_DINV,
     FIG_FRAME,
@@ -210,6 +212,19 @@ class TestRanks:
                 for i in range(len(word)):
                     rotated = word[i:] + word[:i]
                     assert _lowest_rank_rotation(frame.m, frame.n, rotated) == word
+
+    def test_vertex_of_rank_is_the_search(self):
+        # Every start rank of every rotation, so negative ranks and multiples of n too.
+        checked = 0
+        for frame in coprime_frames(12):
+            m, n = frame.m, frame.n
+            for path in frame_paths(m, n):
+                for i in range(frame.size):
+                    rotated = path.steps[i:] + path.steps[:i]
+                    for r in _prefix_ranks(m, n, rotated):
+                        assert _vertex_of_rank(m, n, r) == oracle_vertex_of_rank(m, n, rotated, r)
+                        checked += 1
+        assert checked > 40_000
 
 
 class TestStatistics:

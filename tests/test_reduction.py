@@ -32,7 +32,8 @@ from sweepkit import (
     tableau_to_sw,
 )
 from sweepkit.bench import random_path
-from sweepkit.oracle import enumerate_tableaux, oracle_fiber, oracle_fiber_by_cutting, oracle_red
+from sweepkit.oracle import (enumerate_tableaux, oracle_fiber, oracle_fiber_by_cutting,
+                             oracle_red, oracle_vertex_of_rank)
 from helpers import (
     BIG_FIRST_ROW,
     BIG_PSI_OF_REDUCED_ROWS,
@@ -226,6 +227,27 @@ class TestCutAndLift:
     def test_needs_plus_frame(self):
         with pytest.raises(NotFuss):
             cut_and_lift(parse_path(make_frame(2, 3), "NNENE"), 0)
+
+    def test_every_rank_against_the_search(self):
+        # Ranks below, among and above the start ranks: a lift where the search finds the
+        # rank under m, RankNotPresent where it finds none, RankTooLarge from m up.
+        for frame in fuss_frames(14, sign=+1):
+            m, n, k = frame.m, frame.n, frame.fuss.k
+            for pre in frame_paths(m, n):
+                steps = pre.steps
+                for r in range(-(m + n), m + (m + n)):
+                    if r >= m:
+                        with pytest.raises(RankTooLarge):
+                            cut_and_lift(pre, r)
+                        continue
+                    try:
+                        i = oracle_vertex_of_rank(m, n, steps, r)
+                    except ValueError:
+                        with pytest.raises(RankNotPresent):
+                            cut_and_lift(pre, r)
+                        continue
+                    lifted = cut_and_lift(pre, r)
+                    assert lifted.steps == "N" + steps[i:] + steps[:i] + "E" * k
 
     def test_circled_ranks_golden(self):
         # 7 vertex ranks of the reduced preimage lie below m' = 13.
