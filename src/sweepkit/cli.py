@@ -52,19 +52,13 @@ def _path_from_args(args) -> DyckPath:
     raise SweepkitError("an EN word alone does not determine a path")
 
 
-def _path_json(path: DyckPath) -> dict:
-    return {"m": path.frame.m, "n": path.frame.n, "steps": path.steps}
-
-
 def cmd_stats(args) -> int:
     path = _path_from_args(args)
     frame = path.frame
     # The words first: their one rank sort stays on the path for rank_sequence and dinv.
     sw, en = sw_word(path).letters, en_word(path).letters
     report = {
-        "m": frame.m,
-        "n": frame.n,
-        "steps": path.steps,
+        **path._json_fields(),
         "fuss": None if frame.fuss is None else {"k": frame.fuss.k, "sign": frame.fuss.sign},
         "ranks": list(ranks(path)),
         "rank_sequence": list(rank_sequence(path)),
@@ -79,7 +73,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    print(json.dumps(_path_json(sweep(_path_from_args(args)))))
+    print(sweep(_path_from_args(args)).to_json())
     return 0
 
 
@@ -94,12 +88,12 @@ def cmd_invert(args) -> int:
         sw = SWWord(frame, steps_to_sw(letters) if args.word_kind == "ne" else letters)
         en = ENWord(frame, args.en_word.upper())
         path, rs = bipartite_invert(sw, en)
-        print(json.dumps({**_path_json(path), "rank_sequence": list(rs)}))
+        print(json.dumps({**path._json_fields(), "rank_sequence": list(rs)}))
         return 0
     invert = invert_fuss
     if args.method == "brute":  # imported here, so that no other command compiles the oracle
         from .oracle import oracle_invert_sweep as invert
-    print(json.dumps(_path_json(invert(_path_from_args(args)))))
+    print(invert(_path_from_args(args)).to_json())
     return 0
 
 
@@ -145,14 +139,9 @@ def cmd_count(args) -> int:
 
 
 def cmd_render(args) -> int:
-    path = _path_from_args(args)
-    svg = render_svg(path, labels=args.labels)
-    try:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(svg)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    svg = render_svg(_path_from_args(args), labels=args.labels)
+    with open(args.out, "w", encoding="utf-8") as handle:
+        handle.write(svg)
     print(args.out)
     return 0
 

@@ -175,8 +175,12 @@ class DyckPath:
                     starts = enumerate(_prefix_ranks(m, n, steps))
                     raise BelowDiagonal(next(i for i, rank in starts if rank < 0))
 
+    def _json_fields(self) -> dict:
+        """The object to_json writes, for callers that nest it in theirs."""
+        return {"m": self.frame.m, "n": self.frame.n, "steps": self.steps}
+
     def to_json(self) -> str:
-        return json.dumps({"m": self.frame.m, "n": self.frame.n, "steps": self.steps})
+        return json.dumps(self._json_fields())
 
     @cached_property
     def _rank_words(self) -> tuple[str, str, array]:

@@ -34,7 +34,7 @@ from operator import is_not, lt
 
 from .core import DyckPath, Frame, Fuss, _field_state, _prefix_ranks, _unchecked, area, make_frame
 from .errors import NotFuss, NotSingleCycle, RowConstraintViolated, SweepkitError
-from .sweep import SWWord, ENWord, steps_to_sw
+from .sweep import SWWord, ENWord, steps_to_sw, sw_to_steps
 
 
 def _transpose(lines) -> tuple[tuple[int, ...], ...]:
@@ -306,7 +306,7 @@ def _tableau(frame: Frame, steps: str) -> FussTableau:
 
 def fill_tableau(sw: SWWord) -> FussTableau:
     """Build the tableau of a Fuss SW word (one new column per S); O(m+n)."""
-    return _tableau(sw.frame, sw.as_path().steps)
+    return _tableau(sw.frame, sw_to_steps(sw.letters))
 
 
 def path_tableau(path: DyckPath) -> FussTableau:
@@ -329,10 +329,8 @@ def tableau_to_sw(T: FussTableau) -> SWWord:
     Unchecked: every tableau is the column filling of a path, and a filling
     starts a new column at each S, so its first row spells that path's word.
     """
-    frame = T.frame()
     steps = _first_row_word(T.size, T.first_row())
-    return _unchecked(SWWord, frame=frame, letters=steps_to_sw(steps),
-                      _path=_unchecked(DyckPath, frame=frame, steps=steps))
+    return _unchecked(SWWord, frame=T.frame(), letters=steps_to_sw(steps))
 
 
 def bold_set(T: FussTableau) -> frozenset[int]:

@@ -12,7 +12,7 @@ import json
 import math
 from bisect import bisect_left
 from collections import Counter
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .core import DyckPath, Frame, _prefix_ranks, area, dinv, enumerate_paths, make_frame
 from .errors import NotFuss
@@ -85,11 +85,6 @@ class QTPolynomial:
         return " + ".join(parts)
 
 
-def _accumulate(pairs: Iterable[tuple[int, int]]) -> QTPolynomial:
-    """One term q^a t^b per ``(a, b)`` pair, counted in C."""
-    return QTPolynomial(Counter(pairs))
-
-
 def path_count(frame: Frame) -> int:
     """Number of paths of the frame: C(m+n, m) / (m+n), exactly."""
     return math.comb(frame.size, frame.m) // frame.size
@@ -103,12 +98,12 @@ def _fuss_paths(k: int, n: int) -> Iterator[DyckPath]:
 
 def catalan_qt(k: int, n: int) -> QTPolynomial:
     """Sum of q^dinv t^area over the m = kn+1 frame."""
-    return _accumulate((dinv(D), area(D)) for D in _fuss_paths(k, n))
+    return QTPolynomial(Counter((dinv(D), area(D)) for D in _fuss_paths(k, n)))
 
 
 def catalan_qt_via_bounce(k: int, n: int) -> QTPolynomial:
     """Sum of q^area t^bounce, bounce taken through the linear inversion."""
-    return _accumulate((area(D), bounce(D)) for D in _fuss_paths(k, n))
+    return QTPolynomial(Counter((area(D), bounce(D)) for D in _fuss_paths(k, n)))
 
 
 def catalan_step(k: int, n: int) -> QTPolynomial:
@@ -129,7 +124,7 @@ def catalan_step(k: int, n: int) -> QTPolynomial:
             for i in range(bisect_left(rs, m_)):
                 yield d + i, a - rs[i]
 
-    return _accumulate(monomials())
+    return QTPolynomial(Counter(monomials()))
 
 
 # The three routes to C_n^(k)(q, t), by the name ``sweepkit catalan --via`` takes.

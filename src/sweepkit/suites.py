@@ -99,7 +99,7 @@ def _transport(D: DyckPath, preimages: dict[str, str], last: bool) -> dict:
             "sweep preimage": preimages.setdefault(image.steps, D.steps),
             "parse_path(enumerate_paths)": parse_path(frame, D.steps) == D,
             "parse_path(sweep)": parse_path(frame, image.steps) == image,
-            "SWWord(sw_word)": SWWord(frame, sw.letters).as_path() == sw.as_path(),
+            "SWWord(sw_word)": SWWord(frame, sw.letters) == sw,
             "ENWord(en_word)": ENWord(frame, en.letters) == en,
             "parse_path(rank_complement)": parse_path(frame, complement.steps) == complement,
             "rank_complement(kept sort)": rank_complement(D).steps == complement.steps,
@@ -163,7 +163,7 @@ def _tableau(D: DyckPath, fillers: dict) -> dict:
     fiber = [parse_path(P.frame, P.steps).steps for P in fiber_by_cutting(T)] if plus else None
     sw, en = tableau_to_sw(T), en_from_tableau(T)
     reduced = plus and T.n >= 2 and reduced_path_of(D)
-    return {"SWWord(tableau_to_sw)": SWWord(sw.frame, sw.letters).as_path() == sw.as_path(),
+    return {"SWWord(tableau_to_sw)": SWWord(sw.frame, sw.letters) == sw,
             "ENWord(en_from_tableau)": ENWord(en.frame, en.letters) == en,
             "FussTableau(fill_tableau)": _rebuilt(T),
             "FussTableau(red)": _rebuilt(plus and T.n >= 2 and red(T)),

@@ -10,7 +10,6 @@ sequence of the preimage, which is what bipartite_invert exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from operator import invert
 
@@ -21,7 +20,6 @@ from .core import (
     Frame,
     RankSequence,
     _E_FLAGS,
-    _field_state,
     _unchecked,
     parse_path,
 )
@@ -47,31 +45,22 @@ def sw_to_steps(letters: str) -> str:
 
 @dataclass(frozen=True)
 class SWWord:
-    """Length m+n word over {S, W} in rank order; itself a valid path word.  Its path
-    is kept in ``_path``, a cached property, not a field: pickle and copy skip it."""
+    """Length m+n word over {S, W} in rank order; itself a valid path word."""
 
     frame: Frame
     letters: str
-    __getstate__ = _field_state
 
     def __post_init__(self):
         letters = self.letters
         if letters.count(S_STEP) + letters.count(W_STEP) != len(letters):
             bad = set(letters) - {S_STEP, W_STEP}
             raise ValueError(f"SW word may only contain S and W, got {sorted(bad)}")
-        self.__dict__["_path"] = parse_path(self.frame, sw_to_steps(letters))
-
-    @cached_property
-    def _path(self) -> DyckPath:
-        """Set by the constructor and the unchecked makers; rebuilt unchecked on a copy."""
-        return _unchecked(DyckPath, frame=self.frame, steps=sw_to_steps(self.letters))
+        parse_path(self.frame, sw_to_steps(letters))
 
     def as_path(self) -> DyckPath:
-        """The path drawn by reading the letters left to right (S up, W right).
-
-        Made with the word, checked or valid by the theorem of sw_word; no second parse.
-        """
-        return self._path
+        """The path drawn by reading the letters left to right (S up, W right); unchecked:
+        the constructor parsed it, and the unchecked makers spell one by their theorems."""
+        return _unchecked(DyckPath, frame=self.frame, steps=sw_to_steps(self.letters))
 
 
 @dataclass(frozen=True)
@@ -96,8 +85,7 @@ class ENWord:
 def sw_word(path: DyckPath) -> SWWord:
     """S/W at each rank starting a North/East step, read off the path's kept rank words;
     unchecked: it spells the sweep image."""
-    image = sweep(path)
-    return _unchecked(SWWord, frame=path.frame, letters=steps_to_sw(image.steps), _path=image)
+    return _unchecked(SWWord, frame=path.frame, letters=steps_to_sw(sweep(path).steps))
 
 
 def en_word(path: DyckPath) -> ENWord:
@@ -127,7 +115,9 @@ def bipartite_invert(sw: SWWord, en: ENWord) -> tuple[DyckPath, RankSequence]:
 
     No closure check is needed: with the S and N counts equal, ``succ`` is a
     permutation, and following one from position 0 the first position seen
-    twice is 0; after m+n positions with no revisit, the next is 0.
+    twice is 0; after m+n positions with no revisit, the next is 0.  Nor is a count
+    check: SWWord and ENWord hold path words of their frame (constructor or maker), so
+    once the frames match, both words have n S's and n N's.  The oracle keeps its check.
     """
     if sw.frame != en.frame:
         raise InconsistentPair("SW and EN words live on different frames")
@@ -135,8 +125,6 @@ def bipartite_invert(sw: SWWord, en: ENWord) -> tuple[DyckPath, RankSequence]:
     size = m + n
     letters = sw.letters.encode()
     targets = en.letters.encode()
-    if letters.count(b"S") != targets.count(b"N"):
-        raise InconsistentPair("letter counts of the SW and EN words disagree")
     positions = range(size)
     # Each S pulls the next N position and each W the next E position, so
     # the i-th S gets the i-th N and the j-th W the j-th E.

@@ -21,6 +21,7 @@ import sweepkit.suites
 from sweepkit import (
     BelowDiagonal,
     DyckPath,
+    QTPolynomial,
     area,
     bounce,
     en_word,
@@ -98,6 +99,10 @@ class TestStats:
                              "--word-kind", "sw")
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_no_word_exit_2(self, capsys):
+        code, out, err = run(capsys, "stats", "--m", "7", "--n", "5")
+        assert (code, out, err) == (2, "", "error: a path needs --m, --n and --word\n")
 
     def test_domain_error_exit_2(self, capsys):
         code, _, err = run(capsys, "stats", "--m", "6", "--n", "4", "--word", "N" * 10)
@@ -237,6 +242,11 @@ class TestTableauCommands:
         assert out == json.dumps(members) + "\n"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("command", ["red", "fiber"])
+    def test_empty_tableau_json_exit_2(self, capsys, command):
+        code, out, err = run(capsys, command, "--tableau-json", "")
+        assert (code, out, err) == (2, "", f"error: {command} needs --tableau-json\n")
+
     def test_bad_json_exit_1(self, capsys):
         code, _, _ = run(capsys, "red", "--tableau-json", "{not json")
         assert code == 1
@@ -334,6 +344,12 @@ class TestRender:
         assert code == 0
         root = ET.fromstring(out_file.read_text())
         assert not list(root.iter("{http://www.w3.org/2000/svg}text"))
+
+    def test_no_word_exit_2(self, capsys, tmp_path):
+        out_file = tmp_path / "path.svg"
+        code, out, err = run(capsys, "render", "--m", "7", "--n", "5", "--out", str(out_file))
+        assert (code, out, err) == (2, "", "error: a path needs --m, --n and --word\n")
+        assert not out_file.exists()
 
     def test_unwritable_exit_1(self, capsys, tmp_path):
         code, _, _ = run(capsys, "render", "--m", "3", "--n", "1", "--word", "NEEE",
@@ -462,6 +478,25 @@ class TestVerify:
         lines, failed = out.splitlines(), "tableau invariants and walk vs column walk: FAILED"
         assert [line for line in lines if "FAILED" in line] == [failed]
         assert lines[lines.index(failed) + 1] == f"  counterexample: {counterexample}"
+
+    def test_planted_route_disagreement_prints_each_route(self, capsys, monkeypatch):
+        # A step route with one q too many first disagrees on (3, 2), the first sign +1
+        # Fuss frame with n >= 2; the counterexample gives every route's polynomial.
+        step = sweepkit.qtcatalan.catalan_step
+        monkeypatch.setitem(sweepkit.suites.CATALAN_ROUTES, "step",
+                            lambda k, n: step(k, n) + QTPolynomial({(1, 0): 1}))
+        _, counterexample = sweepkit.suites.catalan_routes(coprime_frames(6))
+        assert (counterexample.frame, counterexample.word) == (make_frame(3, 2), "")
+        assert counterexample.expected == 2
+        assert counterexample.got == {"dinv-area": "q + t", "area-bounce": "q + t",
+                                      "step": "2 q + t"}
+        code, out, _ = run(capsys, "verify", "--max-steps", "6")
+        assert code == 2
+        lines, failed = out.splitlines(), "q,t-Catalan routes and path counts: FAILED"
+        assert [line for line in lines if "FAILED" in line] == [failed]
+        assert lines[lines.index(failed) + 1] == (
+            "  counterexample: Catalan routes on (3, 2): expected 2, got "
+            "{'dinv-area': 'q + t', 'area-bounce': 'q + t', 'step': '2 q + t'}")
 
     def test_planted_path_fails_every_suite_that_reads_it(self, capsys, monkeypatch):
         # A path below the diagonal makes the references raise too (the brute

@@ -10,6 +10,7 @@ from sweepkit import (
     Fuss,
     NotCoprime,
     NotFuss,
+    RankSequence,
     WrongStepCounts,
     area,
     coarea,
@@ -157,6 +158,16 @@ class TestRanks:
     def test_sorted(self):
         assert rank_sequence(parse_path(make_frame(3, 2), "NNEEE")).values == (0, 2, 3, 4, 6)
         assert rank_sequence(parse_path(make_frame(3, 1), "NEEE")).values == (0, 1, 2, 3)
+
+    def test_rank_sequence_must_start_at_zero(self):
+        with pytest.raises(ValueError) as err:
+            RankSequence((1, 2))
+        assert type(err.value) is ValueError and str(err.value) == "rank sequence must start at 0"
+
+    def test_rank_sequence_indexes_its_values(self):
+        rs = rank_sequence(fig_path())
+        assert [rs[i] for i in range(len(rs))] == list(FIG_RANK_SEQUENCE)
+        assert rs[-1] == FIG_RANK_SEQUENCE[-1] and rs[2:5] == FIG_RANK_SEQUENCE[2:5]
 
     def test_sorted_before_and_after_the_kept_rank_sort(self):
         # Before a sweep rank_sequence sorts the ranks, rank_complement walks them for the

@@ -267,6 +267,18 @@ class TestRowConstructors:
         with pytest.raises(ValueError, match=match):
             build(k, 2, row)
 
+    @pytest.mark.parametrize("build, name, row", [
+        (tableau_from_first_row, "first", (1, 3, 6)),
+        (tableau_from_first_row, "first", (1, 3, 6, 9, 12)),
+        (tableau_from_bottom_row, "bottom", (10, 14, 16)),
+        (tableau_from_bottom_row, "bottom", (7, 10, 14, 15, 16)),
+    ], ids=["first-short", "first-long", "bottom-short", "bottom-long"])
+    def test_rejects_a_row_of_the_wrong_length(self, build, name, row):
+        with pytest.raises(ValueError) as err:
+            build(3, 4, row)
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"expected 4 {name}-row entries, got {len(row)}"
+
     def test_reconstruct_every_tableau(self):
         for frame in fuss_frames(12, sign=+1):
             k, n = frame.fuss.k, frame.n

@@ -9,6 +9,7 @@ from sweepkit import (
     make_frame,
     path_count,
 )
+from sweepkit.qtcatalan import CATALAN_ROUTES
 
 
 class TestPathCount:
@@ -46,6 +47,14 @@ class TestPolynomialType:
         keys = [(a + b, a) for a, b, _ in data]
         assert keys == sorted(keys)
         assert all(isinstance(c, str) for _, _, c in data)
+
+    @pytest.mark.parametrize("via", list(CATALAN_ROUTES))
+    def test_json_round_trip_and_repr_of_each_route(self, via):
+        route = CATALAN_ROUTES[via]
+        for k, n in ((1, 3), (2, 4), (3, 3)):
+            poly = route(k, n)
+            assert QTPolynomial.from_json(poly.to_json()) == poly
+        assert repr(route(1, 3)) == "QTPolynomial(q^3 + q^2 t + q t^2 + t^3 + q t)"
 
     def test_pretty(self):
         assert catalan_qt(1, 2).pretty() == "q + t"

@@ -27,6 +27,7 @@ from sweepkit import (
     ranks,
     red,
     reduced_path_of,
+    reduced_walk,
     sweep,
     tableau_from_first_row,
     tableau_to_sw,
@@ -99,6 +100,35 @@ class TestRed:
                 reduced = reduced_path_of(path)
                 assert parse_path(reduced.frame, reduced.steps) == reduced
                 assert red(path_tableau(path)) == path_tableau(reduced)
+
+
+class TestRefusals:
+    # Each pins the exception class itself and its whole message.
+    @pytest.mark.parametrize("op", [red, psi, reduced_walk, fiber_count, fiber_by_bottom_rows,
+                                    fiber_by_cutting, coarea_from_top_row, area_from_bottom_row],
+                             ids=lambda op: op.__name__)
+    def test_sign_minus_tableau(self, op):
+        T = path_tableau(parse_path(make_frame(5, 3), "NNENEEEE"))  # 5 = 2*3 - 1
+        assert T.sign == -1
+        with pytest.raises(ValueError) as err:
+            op(T)
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"{op.__name__} is defined for sign +1 tableaux only"
+
+    def test_reduced_walk_of_one_column(self):
+        with pytest.raises(ValueError) as err:
+            reduced_walk(path_tableau(parse_path(make_frame(4, 1), "NEEEE")))
+        assert type(err.value) is ValueError
+        assert str(err.value) == "reduced walk needs at least two columns"
+
+    @pytest.mark.parametrize("m, n, word, error, message", [
+        (5, 3, "NNENEEEE", NotFuss, "reduction needs an m = kn+1 frame"),
+        (4, 1, "NEEEE", TooNarrow, "cannot reduce a single-row frame"),
+    ], ids=["sign-minus", "one-row"])
+    def test_reduced_path_of(self, m, n, word, error, message):
+        with pytest.raises(error) as err:
+            reduced_path_of(parse_path(make_frame(m, n), word))
+        assert type(err.value) is error and str(err.value) == message
 
 
 class TestPsi:
