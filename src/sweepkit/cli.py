@@ -134,7 +134,11 @@ def cmd_catalan(args) -> int:
 
 
 def cmd_count(args) -> int:
-    print(path_count(make_frame(args.m, args.n)))
+    # str() of an int past sys.get_int_max_str_digits() digits raises; a Decimal prints it
+    # exactly.  Imported here, so that only this command pays for the module.
+    from decimal import Decimal
+
+    print(Decimal(path_count(make_frame(args.m, args.n))))
     return 0
 
 

@@ -4,7 +4,10 @@ For m = kn+1 the SW word of a path fills a (k+1) x n standard tableau, one
 new column per S, each W going below the smallest active column foot
 (active: bottom of a column not yet of full height).  A closed walk through
 the tableau labels then spells the step word of the sweep preimage, so a
-path is inverted in two linear passes with no search.
+path is inverted in two linear passes with no search.  The walk has two
+loops: ``_preimage`` spells the letters alone, for ``invert_fuss`` and
+``bounce``, and ``_cycle`` also records the visit order, for the tableau
+API (``walk``, ``reduced_walk``, ``tableau_rank_labels``).
 
 For m = kn-1 the same filling leaves the rectangle two cells short; the
 rules below run on the rectangle completed by continuing the filling with
@@ -32,7 +35,8 @@ from functools import cached_property, partial
 from itertools import chain, zip_longest
 from operator import is_not, lt
 
-from .core import DyckPath, Frame, Fuss, _field_state, _prefix_ranks, _unchecked, area, make_frame
+from .core import (DyckPath, Frame, Fuss, _E_FLAGS, _east_area, _field_state, _prefix_ranks,
+                   _unchecked, make_frame)
 from .errors import NotFuss, NotSingleCycle, RowConstraintViolated, SweepkitError
 from .sweep import SWWord, ENWord, steps_to_sw, sw_to_steps
 
@@ -246,7 +250,7 @@ def _fill(steps: str, k: int, sign: int) -> tuple[list[int], list[int], list[int
     top and the j-th foot share a column.  A label's row, ``depth``, is
     needed only to tell when its column is full.
 
-    Both callers, ``_tableau`` and ``invert_fuss``, pass a path word, so no E
+    Both callers, ``_tableau`` and ``_preimage``, pass a path word, so no E
     finds the queue empty: after a N's it empties only once all a*k cells
     below their tops are filled, and the prefix ending at the e-th E has rank
     a*m - e*n >= 0.  For sign +1 that gives e <= a*k + a/n, so e <= a*k while
@@ -369,12 +373,15 @@ def _turns(up: list[int], tops, feet, size: int, sign: int) -> bytearray:
 
 
 def _cycle(up: list[int], bold: bytearray, size: int, sign: int) -> tuple[str, list[int]]:
-    """The closed walk over the arrays of ``_turns``; O(m+n).
+    """The closed walk over the arrays of ``_turns``, recording its visit order; O(m+n).
 
     A turn spells N.  Any other label spells E, goes up one cell, then
     slides past bold labels against the sign.  Returns ``(letters, order)``:
     the step word of the sweep preimage and the labels in visiting order,
     starting at 1.  NotSingleCycle unless it closes at 1 after m+n steps.
+    The one kernel behind ``FussTableau._walked``.  ``_preimage`` runs the same
+    steps for the callers that need the letters alone, as a shared loop would
+    test at every step whether to store the label.
     """
     out = bytearray(b"E") * size
     order = [0] * size
@@ -392,6 +399,35 @@ def _cycle(up: list[int], bold: bytearray, size: int, sign: int) -> tuple[str, l
     if cur != 1:
         raise NotSingleCycle("walk does not close at label 1")
     return out.decode("ascii"), order
+
+
+def _preimage(path: DyckPath) -> bytearray:
+    """ASCII step word of the sweep preimage of a Fuss path; O(m+n).
+
+    One ``_fill`` and ``_turns``, then the walk of ``_cycle`` with only the letters
+    stored: ``invert_fuss`` decodes them and ``bounce`` reads their E flags.  Kept
+    apart from ``_cycle``, the kernel of the tableau API, as a shared loop would
+    test at every step whether to store the label.  NotSingleCycle unless it
+    closes at 1 after m+n steps.
+    """
+    k, sign = _fuss_params(path.frame)
+    size = path.frame.size
+    up, tops, feet = _fill(path.steps, k, sign)
+    bold = _turns(up, tops, feet, size, sign)
+    out = bytearray(b"E") * size
+    cur = 1
+    for j in range(size):
+        r = up[cur]
+        if r < 0:
+            out[j] = 78  # ord("N")
+            cur = -r
+        else:
+            while bold[r]:
+                r -= sign
+            cur = r
+    if cur != 1:
+        raise NotSingleCycle("walk does not close at label 1")
+    return out
 
 
 def _walk_path(T: FussTableau) -> DyckPath:
@@ -436,19 +472,17 @@ def tableau_rank_labels(T: FussTableau) -> dict[int, int]:
 def invert_fuss(path: DyckPath) -> DyckPath:
     """The sweep preimage of a Fuss path in O(m+n) time.
 
-    The input is trusted as validated.  The walk spells a path of the frame
-    by the paper's theorem, so the preimage is built unchecked.
+    The input is trusted as validated.  ``_preimage`` spells the word without the
+    walk's visit order; it is a path of the frame by the paper's theorem, so the
+    preimage is built unchecked.
     """
-    k, sign = _fuss_params(path.frame)
-    up, tops, feet = _fill(path.steps, k, sign)
-    bold = _turns(up, tops, feet, path.frame.size, sign)
-    del tops, feet  # freed before the walk fills ``order``: the peak stays the fill's
-    return _unchecked(DyckPath, frame=path.frame, steps=_cycle(up, bold, len(path.steps), sign)[0])
+    return _unchecked(DyckPath, frame=path.frame, steps=_preimage(path).decode("ascii"))
 
 
 def bounce(path: DyckPath) -> int:
-    """area(sweep^-1(D)), through the linear inversion; NotFuss off Fuss frames."""
-    return area(invert_fuss(path))
+    """area(sweep^-1(D)), from the E flags of the bytes ``_preimage`` spells, with no
+    preimage path built; O(m+n).  NotFuss off Fuss frames."""
+    return _east_area(path.frame, _preimage(path).translate(_E_FLAGS))
 
 
 def cobounce(path: DyckPath) -> int:

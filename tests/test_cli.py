@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from decimal import Decimal
 from functools import partial
 
 import pytest
@@ -315,6 +316,13 @@ class TestCount:
     def test_not_coprime(self, capsys):
         code, _, _ = run(capsys, "count", "--m", "6", "--n", "4")
         assert code == 2
+
+    def test_count_past_the_int_string_digit_limit(self, capsys):
+        # More digits than str(int) prints by default; int(Decimal) has no such limit.
+        code, out, err = run(capsys, "count", "--m", "7501", "--n", "7500")
+        assert (code, err) == (0, "")
+        assert len(out.strip()) > sys.get_int_max_str_digits()
+        assert int(Decimal(out)) == path_count(make_frame(7501, 7500))
 
 
 SVG_11_ELEMENTS = {

@@ -12,6 +12,7 @@ from sweepkit import (
     DyckPath,
     FussTableau,
     NotFuss,
+    NotSingleCycle,
     RowConstraintViolated,
     SWWord,
     bold_set,
@@ -218,6 +219,20 @@ class TestInvertFuss:
         checked, counterexample = fuss_inversion(frames)
         assert counterexample is None, str(counterexample)
         assert checked == sum(len(frame_paths(f.m, f.n)) for f in frames)
+
+    def test_walks_that_do_not_close_raise(self, monkeypatch):
+        # No path fills such arrays: the vertical links are lost, so after its first turn
+        # the walk stays on the empty label 0 and never comes back to 1.
+        path = SWWord(make_frame(13, 4), K3N4_SW).as_path()
+        up, tops, feet = sweepkit.fuss._fill(path.steps, 3, +1)
+        broken = [0] * len(up)
+        walked = broken[:]
+        bold = sweepkit.fuss._turns(walked, tops, feet, 17, +1)
+        with pytest.raises(NotSingleCycle, match="does not close"):
+            sweepkit.fuss._cycle(walked, bold, 17, +1)
+        monkeypatch.setattr(sweepkit.fuss, "_fill", lambda *args: (broken, tops, feet))
+        with pytest.raises(NotSingleCycle, match="does not close"):
+            sweepkit.fuss._preimage(path)
 
 
 class TestRowConstructors:

@@ -248,6 +248,17 @@ class TestBounce:
             for path in frame_paths(frame.m, frame.n):
                 assert bounce(path) == area(oracle_invert_sweep(path))
 
+    def test_preimage_bytes_match_the_oracle_on_both_signs(self):
+        # bounce reads the E flags of the walk's bytes, with no preimage path built.
+        checked = {+1: 0, -1: 0}
+        for frame in coprime_frames(16):
+            if frame.fuss is None:
+                continue
+            for path in frame_paths(frame.m, frame.n):
+                assert bounce(path) == area(oracle_invert_sweep(path)), (frame, path.steps)
+                checked[frame.fuss.sign] += 1
+        assert checked == {+1: 1060, -1: 938}
+
 
 class TestBruteInvert:
     def test_small(self):
