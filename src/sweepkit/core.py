@@ -142,8 +142,8 @@ def _rank_sort(keys: list[int]) -> str:
 class DyckPath:
     """A validated (m,n)-Dyck path; ``steps`` is its word over {N, E}.
 
-    Construction checks the length, the letter counts (exactly n N's and
-    m E's, so no other letter) and that no prefix ends below the diagonal.
+    Construction checks the type (a str), the length, the letter counts (exactly
+    n N's and m E's, so no other letter) and that no prefix ends below the diagonal.
     Cost: two C-level counts plus one Python pass that tests the rank only
     after East steps, since North steps only raise it.  Only on failure is
     the word scanned again, to report the first offending prefix.
@@ -160,6 +160,8 @@ class DyckPath:
     def __post_init__(self):
         m, n = self.frame.m, self.frame.n
         steps = self.steps
+        if not isinstance(steps, str):
+            raise ValueError(f"step word must be a str, got {type(steps).__name__}")
         if len(steps) != m + n:
             raise WrongStepCounts(f"expected {m + n} steps, got {len(steps)}")
         if steps.count(NORTH) != n or steps.count(EAST) != m:

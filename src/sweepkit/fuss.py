@@ -31,27 +31,13 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, partial
-from itertools import chain, zip_longest
-from operator import is_not, lt
+from functools import cached_property
+from itertools import chain
 
 from .core import (DyckPath, Frame, Fuss, _E_FLAGS, _east_area, _field_state, _prefix_ranks,
                    _unchecked, make_frame)
 from .errors import NotFuss, NotSingleCycle, RowConstraintViolated, SweepkitError
 from .sweep import SWWord, ENWord, steps_to_sw, sw_to_steps
-
-
-def _transpose(lines) -> tuple[tuple[int, ...], ...]:
-    """Rows <-> columns of a ragged array of ints, with one C-level zip.
-
-    The gaps ``zip_longest`` pads with None are dropped, so entry i of the
-    result holds the i-th entries of the lines long enough to have one.
-    """
-    not_none = partial(is_not, None)
-    return tuple(
-        tuple(filter(not_none, line)) if None in line else line
-        for line in zip_longest(*lines)
-    )
 
 
 @dataclass(frozen=True)
@@ -62,7 +48,7 @@ class FussTableau:
     writes them.  For sign +1 that is the full (k+1) x n rectangle; for sign -1
     the rows are ragged, two cells short at their right ends (an empty row left
     out), and the two virtual labels m+n, m+n+1 live only in the completed rows
-    used by the walk.  ``columns`` is a view, derived on each call.
+    used by the walk.
 
     Every instance is valid: the constructor checks the shape, then runs
     ``validate``.  The first walk is kept in ``_walked``, a cached property
@@ -94,20 +80,6 @@ class FussTableau:
                              f"sign {sign:+d} tableau")
         self.validate()
 
-    @classmethod
-    def from_columns(cls, k: int, n: int, sign: int, columns) -> "FussTableau":
-        """The tableau with these n columns, each top to foot; ValueError unless no column is
-        higher than the one before it (so rows hold no gaps) and the constructor accepts them."""
-        heights = tuple(map(len, columns))
-        if len(heights) != n or any(map(lt, heights, heights[1:])):
-            raise ValueError(f"columns do not have the shape of a tableau of {n} columns")
-        return cls(k=k, n=n, sign=sign, rows=_transpose(columns))
-
-    @property
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        """Column view of ``rows``, column 1 first; derived on each call and never kept."""
-        return _transpose(self.rows)
-
     @property
     def m(self) -> int:
         return self.k * self.n + self.sign
@@ -136,10 +108,6 @@ class FussTableau:
         if len(rows[-1]) < self.n - 1:
             return rows[:-1] + (rows[-1] + (size, size + 1),)
         return rows[:-2] + (rows[-2] + (size,), rows[-1] + (size + 1,))
-
-    def completed_columns(self) -> tuple[tuple[int, ...], ...]:
-        """Columns with the sign -1 virtual labels appended (no-op for +1)."""
-        return tuple(zip(*self._completed_rows()))
 
     def bottom_row(self) -> tuple[int, ...]:
         """Feet of the completed columns (row k+1)."""

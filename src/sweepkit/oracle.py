@@ -36,7 +36,7 @@ from .errors import (
     SweepkitError,
     TooNarrow,
 )
-from .fuss import FussTableau, _require_plus, path_tableau
+from .fuss import FussTableau, _fuss_frame, _require_plus, path_tableau
 from .qtcatalan import path_count
 from .reduction import cut_and_lift
 from .sweep import S_STEP, W_STEP, ENWord, SWWord, sweep
@@ -243,8 +243,8 @@ def _walk_order(columns: tuple[tuple[int, ...], ...], sign: int) -> list[int]:
 
 
 def oracle_validate(k: int, n: int, sign: int, columns) -> None:
-    """``FussTableau.from_columns(k, n, sign, columns)``'s check as the round trip that
-    ``validate`` replaced: (k, sign) the Fuss classification of (kn + sign, n),
+    """The check of ``FussTableau`` on the tableau with these columns, as the round trip
+    that ``validate`` replaced: (k, sign) the Fuss classification of (kn + sign, n),
     S at the first-row labels and W elsewhere an SW word of that frame, and its
     per-column list filling (``_fill_columns``, not the fill kernel) ``columns``
     again, which also fixes the shape.  ValueError otherwise.
@@ -296,7 +296,7 @@ def oracle_fiber_by_cutting(T_reduced: FussTableau) -> list[DyckPath]:
     """
     _require_plus(T_reduced, "oracle_fiber_by_cutting")
     tops = set(T_reduced.first_row())
-    order = _walk_order(T_reduced.columns, +1)
+    order = _walk_order(tuple(zip(*T_reduced.rows)), +1)
     preimage = DyckPath(T_reduced.frame(), "".join(NORTH if t in tops else EAST for t in order))
     m = preimage.frame.m
     return [sweep(cut_and_lift(preimage, r)) for r in sorted(ranks(preimage)) if r < m]
@@ -327,7 +327,7 @@ def enumerate_tableaux(k: int, n: int) -> Iterator[FussTableau]:
     before the first tableau is placed.  That count bounds the (kn+1, n)
     frame's path count from above.  Built unchecked: no fill kernel runs.
     """
-    make_frame(k * n + 1, n)  # raises on k, n that give no frame
+    _fuss_frame(k, n, +1)  # ValueError unless (kn + 1, n) classifies as (k, +1)
     total = (k + 1) * n
     # Hook of cell (i, j) of a rectangle: i + j + 1 counted from its far corner.
     searched = math.factorial(total) // math.prod(

@@ -39,20 +39,8 @@ class QTPolynomial:
     def __repr__(self) -> str:
         return f"QTPolynomial({self.pretty()})"
 
-    def __add__(self, other: "QTPolynomial") -> "QTPolynomial":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
-        return QTPolynomial(out)
-
     def evaluate(self, q: int, t: int) -> int:
         return sum(c * q**a * t**b for (a, b), c in self.terms.items())
-
-    def max_q_degree(self) -> int:
-        return max((a for a, _ in self.terms), default=0)
-
-    def max_t_degree(self) -> int:
-        return max((b for _, b in self.terms), default=0)
 
     def sorted_terms(self) -> list[tuple[int, int, int]]:
         """(q-exp, t-exp, coeff) ascending by (total degree, q-exponent)."""

@@ -26,9 +26,7 @@ from .core import (
     ranks,
 )
 from .errors import NotFuss, RankNotPresent, RankTooLarge, TooNarrow
-# psi lives in fuss and stays importable from here.
-from .fuss import (FussTableau, _require_plus, _walk_path, invert_fuss, psi,
-                   tableau_from_bottom_row)
+from .fuss import FussTableau, _require_plus, _walk_path, invert_fuss, tableau_from_bottom_row
 
 
 def red(T: FussTableau) -> FussTableau:

@@ -52,6 +52,8 @@ class SWWord:
 
     def __post_init__(self):
         letters = self.letters
+        if not isinstance(letters, str):
+            raise ValueError(f"SW word must be a str, got {type(letters).__name__}")
         if letters.count(S_STEP) + letters.count(W_STEP) != len(letters):
             bad = set(letters) - {S_STEP, W_STEP}
             raise ValueError(f"SW word may only contain S and W, got {sorted(bad)}")
@@ -76,6 +78,8 @@ class ENWord:
 
     def __post_init__(self):
         letters = self.letters
+        if not isinstance(letters, str):
+            raise ValueError(f"EN word must be a str, got {type(letters).__name__}")
         if letters.count(NORTH) + letters.count(EAST) != len(letters):
             bad = set(letters) - {NORTH, EAST}
             raise ValueError(f"EN word may only contain N and E, got {sorted(bad)}")

@@ -127,8 +127,8 @@ def test_criterion_04_tableau_bijection():
             k, n = frame.fuss.k, frame.n
             paths = frame_paths(frame.m, frame.n)
             assert len(paths) == path_count(frame)
-            images = {path_tableau(path).columns for path in paths}
-            universe = {T.columns for T in enumerate_tableaux(k, n)}
+            images = {path_tableau(path).rows for path in paths}
+            universe = {T.rows for T in enumerate_tableaux(k, n)}
             assert images == universe
 
 
@@ -162,7 +162,7 @@ def test_criterion_07_fibers():
         by_cut = fiber_by_cutting(T_reduced)
         by_rows = fiber_by_bottom_rows(T_reduced)
         assert len(by_cut) == len(by_rows) == fiber_count(T_reduced) == 7
-        assert {path_tableau(D).columns for D in by_cut} == {T.columns for T in by_rows}
+        assert {path_tableau(D).rows for D in by_cut} == {T.rows for T in by_rows}
         assert {D.steps for D in by_cut} == {D.steps for D in oracle_fiber(T_reduced)}
         # Exhaustive fiber law over every reduced shape with (k+1)(n-1) <= 16:
         # group the taller frame by reduced tableau, then compare both
@@ -177,13 +177,13 @@ def test_criterion_07_fibers():
             groups: dict = {}
             for D in frame_paths(k * n + 1, n):
                 T = path_tableau(D)
-                groups.setdefault(red(T).columns, set()).add(T.columns)
+                groups.setdefault(red(T).rows, set()).add(T.rows)
             for reduced_path in frame_paths(k * n_reduced + 1, n_reduced):
                 T = path_tableau(reduced_path)
-                members = groups[T.columns]
+                members = groups[T.rows]
                 assert len(members) == fiber_count(T)
-                assert {M.columns for M in fiber_by_bottom_rows(T)} == members
-                assert {path_tableau(D).columns for D in fiber_by_cutting(T)} == members
+                assert {M.rows for M in fiber_by_bottom_rows(T)} == members
+                assert {path_tableau(D).rows for D in fiber_by_cutting(T)} == members
 
 
 def test_criterion_08_statistics_formulas():

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
 from decimal import Decimal
 from functools import partial
 
@@ -490,9 +491,9 @@ class TestVerify:
     def test_planted_route_disagreement_prints_each_route(self, capsys, monkeypatch):
         # A step route with one q too many first disagrees on (3, 2), the first sign +1
         # Fuss frame with n >= 2; the counterexample gives every route's polynomial.
-        step = sweepkit.qtcatalan.catalan_step
+        step, one_q = sweepkit.qtcatalan.catalan_step, Counter({(1, 0): 1})
         monkeypatch.setitem(sweepkit.suites.CATALAN_ROUTES, "step",
-                            lambda k, n: step(k, n) + QTPolynomial({(1, 0): 1}))
+                            lambda k, n: QTPolynomial(Counter(step(k, n).terms) + one_q))
         _, counterexample = sweepkit.suites.catalan_routes(coprime_frames(6))
         assert (counterexample.frame, counterexample.word) == (make_frame(3, 2), "")
         assert counterexample.expected == 2

@@ -7,10 +7,12 @@ import pytest
 from sweepkit import (
     BelowDiagonal,
     DyckPath,
+    ENWord,
     Fuss,
     NotCoprime,
     NotFuss,
     RankSequence,
+    SWWord,
     WrongStepCounts,
     area,
     coarea,
@@ -148,6 +150,16 @@ class TestParsePath:
 
     def test_sequence_input_is_joined(self):
         assert parse_path(make_frame(3, 2), ["N", "n", "E", "e", "E"]).steps == "NNEEE"
+
+    def test_word_constructors_reject_a_non_str(self):
+        # A sequence of letters is no word to a constructor, though parse_path joins one.
+        frame = make_frame(1, 2)
+        for build, word in ((DyckPath, ["N", "N", "E"]), (SWWord, ("S", "S", "W")),
+                            (ENWord, ["E", "N", "N"])):
+            with pytest.raises(ValueError, match=f"must be a str, got {type(word).__name__}"):
+                build(frame, word)
+            assert build(frame, "".join(word)).frame == frame
+        assert parse_path(frame, ("N", "N", "E")) == DyckPath(frame, "NNE")
 
 
 class TestRanks:

@@ -64,14 +64,14 @@ def k4n3_tableau() -> FussTableau:
 
 class TestFill:
     def test_k4n3_columns(self):
-        assert k4n3_tableau().columns == K4N3_COLUMNS
+        assert tuple(zip(*k4n3_tableau().rows)) == K4N3_COLUMNS
 
     def test_k3n4_rows(self):
         assert k3n4_tableau().rows == K3N4_ROWS
 
     def test_single_column(self):
         T = fill_tableau(SWWord(make_frame(4, 1), "SWWWW"))
-        assert T.columns == ((1, 2, 3, 4),)
+        assert T.rows == ((1,), (2,), (3,), (4,))
 
     def test_matches_per_column_reference(self):
         # The label-indexed fill (rows by depth) against the per-column
@@ -79,9 +79,9 @@ class TestFill:
         for frame in fuss_frames(14):
             for path in frame_paths(frame.m, frame.n):
                 word = sw_word(path)
-                expected = reference_columns(word.as_path())
-                assert fill_tableau(word).completed_columns() == expected
-                assert path_tableau(path).completed_columns() == reference_columns(path)
+                expected = tuple(zip(*reference_columns(word.as_path())))
+                assert fill_tableau(word)._completed_rows() == expected
+                assert path_tableau(path)._completed_rows() == tuple(zip(*reference_columns(path)))
 
 
 class TestTableauToSw:
@@ -92,11 +92,12 @@ class TestTableauToSw:
         T = fill_tableau(SWWord(make_frame(4, 1), "SWWWW"))
         assert tableau_to_sw(T).letters == "SWWWW"
 
-    @pytest.mark.parametrize("columns, label", [(((1, 2), (9, 4)), 9), (((1, 2), (0, 4)), 0),
-                                                (((-3, 2), (3, 4)), -3)])
-    def test_names_a_first_row_label_outside_the_word(self, columns, label):
+    @pytest.mark.parametrize("rows, label", [(((1, 9), (2, 4)), 9), (((1, 0), (2, 4)), 0),
+                                             (((-3, 3), (2, 4)), -3)],
+                             ids=["columns0-9", "columns1-0", "columns2--3"])
+    def test_names_a_first_row_label_outside_the_word(self, rows, label):
         with pytest.raises(ValueError, match=f"first-row label {label} "):
-            FussTableau.from_columns(k=1, n=2, sign=1, columns=columns)
+            FussTableau(k=1, n=2, sign=1, rows=rows)
 
 
 class TestEnExtraction:
@@ -150,7 +151,7 @@ class TestWalk:
             k = frame.fuss.k
             for path in frame_paths(frame.m, frame.n):
                 T = path_tableau(path)
-                col1 = T.columns[0]
+                col1 = tuple(row[0] for row in T.rows)
                 full = list(walk(T).order)
                 reduced = list(reduced_walk(T))
                 assert len(full) == len(reduced) + k + 1
@@ -320,7 +321,7 @@ class TestRowConstructors:
                         continue
                     U = build(k, n, row)
                     assert U == tableaux[row]
-                    assert FussTableau.from_columns(k=U.k, n=U.n, sign=U.sign, columns=U.columns) == U
+                    assert FussTableau(k=U.k, n=U.n, sign=U.sign, rows=U.rows) == U
 
 
 class TestEmbeddingMonotonicity:
@@ -339,31 +340,32 @@ class TestEmbeddingMonotonicity:
 
 
 def increasing_fillings(k, n, sign):
-    """Every filling of n non-empty columns of height <= k+1 by 1 .. m+n-1
-    that increases down each column and rightwards along each row."""
+    """Every filling by 1 .. m+n-1 of at most k+1 rows, n entries in row 1 and no row
+    longer than the one above it, that increases along each row and down each column.
+
+    Yields ``(rows, columns)``: each label goes into both forms as it is placed, the
+    columns for ``oracle_validate``.
+    """
     total = (k + 1) * n + sign - 1
-    for shape in itertools.product(range(1, k + 2), repeat=n):
-        if sum(shape) != total:
+    for rest in itertools.product(range(n, -1, -1), repeat=k):
+        shape = (n, *rest)
+        if sum(shape) != total or list(shape) != sorted(shape, reverse=True):
             continue
-        heights = [0] * n
+        rows = [[] for _ in shape]
         columns = [[] for _ in range(n)]
 
         def place(label):
             if label > total:
-                yield tuple(tuple(c) for c in columns)
+                yield tuple(tuple(r) for r in rows if r), tuple(map(tuple, columns))
                 return
-            for j in range(n):
-                h = heights[j]
-                if h == shape[j]:
-                    continue
-                if j > 0 and shape[j - 1] > h and heights[j - 1] <= h:
-                    continue  # the left neighbour must come first
-                if j + 1 < n and heights[j + 1] > h:
-                    continue  # the right neighbour may not come first
+            for i, length in enumerate(shape):
+                j = len(rows[i])
+                if j == length or (i and len(rows[i - 1]) <= j):
+                    continue  # the row is full, or the cell above it is still empty
+                rows[i].append(label)
                 columns[j].append(label)
-                heights[j] += 1
                 yield from place(label + 1)
-                heights[j] -= 1
+                rows[i].pop()
                 columns[j].pop()
 
         yield from place(1)
@@ -372,22 +374,25 @@ def increasing_fillings(k, n, sign):
 class TestValidate:
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_accepts_exactly_the_path_images(self, sign):
+        checked = 0
         for k in (1, 2, 3):
             for n in (1, 2, 3, 4):
                 if k * n + sign < 1:
                     continue
                 frame = make_frame(k * n + sign, n)
                 # For n <= 2 a sign -1 frame may classify as (k - 1, +1): no (k, -1) images.
-                images = {path_tableau(D).columns for D in enumerate_paths(frame)
+                images = {path_tableau(D).rows for D in enumerate_paths(frame)
                           if frame.fuss == Fuss(k, sign)}
                 accepted = set()
-                for columns in increasing_fillings(k, n, sign):
+                for rows, _ in increasing_fillings(k, n, sign):
+                    checked += 1
                     try:
-                        FussTableau.from_columns(k=k, n=n, sign=sign, columns=columns).validate()
+                        FussTableau(k=k, n=n, sign=sign, rows=rows)
                     except ValueError:
                         continue
-                    accepted.add(columns)
+                    accepted.add(rows)
                 assert accepted == images, (k, n, sign)
+        assert checked == {+1: 25_033, -1: 25_024}[sign]
 
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_agrees_with_the_round_trip_oracle(self, sign):
@@ -402,9 +407,9 @@ class TestValidate:
             for n in (1, 2, 3, 4):
                 if k * n + sign < 1:
                     continue
-                for columns in increasing_fillings(k, n, sign):
-                    fields = (k, n, sign, columns)
-                    assert accepts(FussTableau.from_columns, *fields) == accepts(oracle_validate, *fields), fields
+                for rows, columns in increasing_fillings(k, n, sign):
+                    built = accepts(FussTableau, k, n, sign, rows)
+                    assert built == accepts(oracle_validate, k, n, sign, columns), (k, n, sign, rows)
 
     def test_rejects_a_sign_the_frame_does_not_classify(self):
         # (3, 2) classifies as k = 1, sign +1.  Read as k = 2, sign -1 these rows
@@ -420,66 +425,67 @@ class TestValidate:
     def test_rejects_minus_filling_of_no_path(self):
         # Rows [[1, 3, 4], [2]] satisfy the strip conditions but encode no path.
         with pytest.raises(ValueError, match="encodes no path"):
-            FussTableau.from_columns(k=1, n=3, sign=-1, columns=((1, 2), (3,), (4,)))
+            FussTableau(k=1, n=3, sign=-1, rows=((1, 3, 4), (2,)))
 
     @pytest.mark.parametrize(
-        "columns",
+        "rows",
         # The last three put a first-row label past m+n = 5, at 0, and at -10 (no wrap-around).
-        [((1, 2, 3, 4), ()), ((1, 2),), ((1, 2), (3, 3)), ((2, 1), (3, 4)), ((1, 2), (9, 4)),
-         ((0, 1), (2, 3)), ((-10, 2), (3, 4))],
+        [((1,), (2,), (3,), (4,)), ((1,), (2,)), ((1, 3), (2, 3)), ((2, 3), (1, 4)),
+         ((1, 9), (2, 4)), ((0, 2), (1, 3)), ((-10, 3), (2, 4))],
+        ids=[f"columns{i}" for i in range(7)],
     )
-    def test_rejects_bad_shape_or_labels(self, columns):
+    def test_rejects_bad_shape_or_labels(self, rows):
         with pytest.raises(ValueError):
-            FussTableau.from_columns(k=1, n=2, sign=1, columns=columns).validate()
+            FussTableau(k=1, n=2, sign=1, rows=rows)
 
-    @pytest.mark.parametrize("n, sign, columns", [
+    @pytest.mark.parametrize("n, sign, rows", [
         # Legal shapes that no path fills: a foot past the grid, rows crossed, and a
         # column 1 that decreases.
-        (2, 1, ((1, 2), (3, 9))), (2, 1, ((1, 4), (2, 3))), (2, 1, ((2, 1), (3, 4))),
+        (2, 1, ((1, 3), (2, 9))), (2, 1, ((1, 2), (4, 3))), (2, 1, ((2, 3), (1, 4))),
         # Feet outside the completed grid; sign -1 completes them with 5 and 6.
-        (2, 1, ((1, 2), (3, 0))), (2, 1, ((1, -4), (3, 4))),
-        (3, -1, ((1, 1), (3,), (4,))), (3, -1, ((1, 7), (3,), (4,))),
+        (2, 1, ((1, 3), (2, 0))), (2, 1, ((1, 3), (-4, 4))),
+        (3, -1, ((1, 3, 4), (1,))), (3, -1, ((1, 3, 4), (7,))),
         # An entry below 1, and a column 1 that decreases.
-        (2, 1, ((1, 2), (0, 4))), (2, 1, ((3, 1), (2, 4))),
+        (2, 1, ((1, 0), (2, 4))), (2, 1, ((3, 2), (1, 4))),
     ], ids=["foot-9", "rows-crossed", "column-1-2-1", "foot-0", "foot--4", "minus-foot-1",
             "minus-foot-7", "entry-0", "column-1-3-1"])
-    def test_rejects_what_no_path_fills(self, n, sign, columns):
+    def test_rejects_what_no_path_fills(self, n, sign, rows):
         with pytest.raises(ValueError):
-            FussTableau.from_columns(k=1, n=n, sign=sign, columns=columns)
-        rows = [list(row) for row in sweepkit.fuss._transpose(columns)]
+            FussTableau(k=1, n=n, sign=sign, rows=rows)
         with pytest.raises(ValueError):
             FussTableau.from_json(json.dumps({"k": 1, "n": n, "sign": sign, "rows": rows}))
 
     def test_shape_checked_at_construction(self):
         # The one column of a k = 2, n = 1, sign -1 tableau is k - 1 = 1 high, not 2.
         with pytest.raises(ValueError, match="shape"):
-            FussTableau.from_columns(k=2, n=1, sign=-1, columns=((1, 2),))
+            FussTableau(k=2, n=1, sign=-1, rows=((1,), (2,)))
         # Nor two columns k high: a tableau has exactly n columns.
         with pytest.raises(ValueError, match="shape"):
-            FussTableau.from_columns(k=2, n=1, sign=-1, columns=((1, 2), (3, 4)))
+            FussTableau(k=2, n=1, sign=-1, rows=((1, 3), (2, 4)))
         # A legal shape passes the shape check; that it encodes no path is validate's finding.
         with pytest.raises(ValueError, match="encodes no path"):
-            FussTableau.from_columns(k=1, n=3, sign=-1, columns=((1, 2), (3,), (4,)))
+            FussTableau(k=1, n=3, sign=-1, rows=((1, 3, 4), (2,)))
 
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_shape_rule_on_every_height_list(self, sign):
-        def listed_shapes(k, n, heights):
-            # The rule written out as whole height lists of n columns, one per legal shape.
-            full = [k + 1] * n
-            shapes = [full] if sign > 0 else [full[1:] + [k - 1], full[2:] + [k, k]]
-            return heights in shapes and len(heights) == n and bool(heights[-1])
+        def listed_shapes(k, n, lengths):
+            # The rule written out as whole lists of row lengths, one per legal shape, with
+            # a row of no entries left out; row 1 holds one entry per column.
+            full = [n] * (k + 1)
+            shapes = [full] if sign > 0 else [full[2:] + [n - 1, n - 1], full[1:] + [n - 2]]
+            return lengths[:1] == [n] and lengths in [[x for x in s if x] for s in shapes]
 
         for k in (1, 2, 3):
             for n in (1, 2, 3, 4):
-                for width in range(max(n - 2, 0), n + 2):
-                    for heights in itertools.product(range(k + 3), repeat=width):
-                        columns = tuple(tuple(range(h)) for h in heights)
+                for depth in range(k + 3):
+                    for lengths in itertools.product(range(n + 2), repeat=depth):
+                        rows = tuple(tuple(range(x)) for x in lengths)
                         try:
-                            FussTableau.from_columns(k=k, n=n, sign=sign, columns=columns)
+                            FussTableau(k=k, n=n, sign=sign, rows=rows)
                             shaped = True
                         except ValueError as exc:  # validate rejects these labels, not the shape
                             shaped = "shape" not in str(exc)
-                        assert shaped == listed_shapes(k, n, list(heights)), (k, n, heights)
+                        assert shaped == listed_shapes(k, n, list(lengths)), (k, n, lengths)
 
 
 class TestTableauJson:
@@ -515,7 +521,7 @@ class TestTableauJson:
     def test_minus_sign_rows_accepted(self):
         text = '{"k": 2, "n": 3, "sign": -1, "rows": [[1, 2, 3], [4, 5, 6], [7]]}'
         T = FussTableau.from_json(text)
-        assert T.columns == ((1, 4, 7), (2, 5), (3, 6))
+        assert T._completed_rows() == ((1, 2, 3), (4, 5, 6), (7, 8, 9))
 
     def test_render_text(self):
         text = k4n3_tableau().render_text()
@@ -527,8 +533,8 @@ class TestMinusSignShape:
         # (2,3) frame, k=1: two short columns completed by virtual labels.
         path = parse_path(make_frame(2, 3), "NNENE")
         T = path_tableau(path)
-        assert T.columns == ((1, 3), (2,), (4,))
-        assert T.completed_columns() == ((1, 3), (2, 5), (4, 6))
+        assert T.rows == ((1, 2, 4), (3,))
+        assert T._completed_rows() == ((1, 2, 4), (3, 5, 6))
         assert T.bottom_row() == (3, 5, 6)
         assert bold_set(T) == {2, 4, 5}
 
@@ -536,33 +542,13 @@ class TestMinusSignShape:
         # Word leaving one column two cells short.
         path = SWWord(make_frame(5, 3), "SSWWWSWW").as_path()
         T = path_tableau(path)
-        assert T.columns == ((1, 3, 5), (2, 4, 7), (6,))
-        assert T.completed_columns() == ((1, 3, 5), (2, 4, 7), (6, 8, 9))
+        assert T.rows == ((1, 2, 6), (3, 4), (5, 7))
+        assert T._completed_rows() == ((1, 2, 6), (3, 4, 8), (5, 7, 9))
 
     def test_minus_walk(self):
         path = parse_path(make_frame(2, 3), "NNENE")
         assert walk(path_tableau(path)).order == (1, 2, 4, 5, 3)
         assert invert_fuss(path).steps == "NNNEE"
-
-
-class TestColumnViews:
-    def test_columns_are_derived_and_never_kept(self):
-        for T in (k3n4_tableau(), path_tableau(parse_path(make_frame(5, 3), "NNEENEEE"))):
-            walk(T)
-            assert T.columns == sweepkit.fuss._transpose(T.rows)
-            assert FussTableau.from_columns(T.k, T.n, T.sign, T.columns) == T
-            assert "columns" not in vars(T)
-            # A pickle holds the four fields, not the kept walk nor a column view.
-            assert set(vars(pickle.loads(pickle.dumps(T)))) == {"k", "n", "sign", "rows"}
-
-    def test_from_columns_rejects_rising_heights(self):
-        T = path_tableau(parse_path(make_frame(5, 3), "NNEENEEE"))
-        assert T.columns == ((1, 3, 6), (2, 4, 7), (5,))
-        # Heights (3, 1, 3): dropping the gaps would give T's rows, a legal shape.
-        rising = ((1, 3, 6), (2,), (5, 4, 7))
-        assert sweepkit.fuss._transpose(rising) == T.rows
-        with pytest.raises(ValueError, match="shape"):
-            FussTableau.from_columns(2, 3, -1, rising)
 
 
 def built_five_ways(path):
@@ -572,7 +558,7 @@ def built_five_ways(path):
         T,
         fill_tableau(sw_word(invert_fuss(path))),
         FussTableau.from_json(T.to_json()),
-        FussTableau.from_columns(k=T.k, n=T.n, sign=T.sign, columns=T.columns),
+        FussTableau(k=T.k, n=T.n, sign=T.sign, rows=T.rows),
     ]
     if T.sign > 0:
         # Any member of the fiber one column up reduces to T.
@@ -622,7 +608,7 @@ class TestCarriedWordAndWalk:
                     # Pickle and copy carry the fields only, not the kept walk.
                     assert pickle.dumps(U) == pickle.dumps(fresh)
                     for carried in (pickle.loads(pickle.dumps(U)), copy.copy(U), copy.deepcopy(U)):
-                        assert carried == fresh and "_walked" not in vars(carried)
+                        assert carried == fresh and set(vars(carried)) == {"k", "n", "sign", "rows"}
                 assert "_walked" not in repr(fresh)
 
     def test_replace_does_not_inherit_a_stale_word(self):
@@ -644,12 +630,12 @@ class TestCarriedWordAndWalk:
             fill_tableau(tableau_to_sw(T)),
             path_tableau(tableau_to_sw(T).as_path()),
             FussTableau.from_json(T.to_json()),
-            FussTableau.from_columns(k=3, n=4, sign=1, columns=T.columns),
+            FussTableau(k=3, n=4, sign=1, rows=T.rows),
             red(fiber_by_bottom_rows(T)[0]),
             psi(T),
         ]
         M = path_tableau(SWWord(make_frame(5, 3), "SSWWWSWW").as_path())
-        minus = [M, FussTableau.from_columns(k=2, n=3, sign=-1, columns=M.columns)]
+        minus = [M, FussTableau(k=2, n=3, sign=-1, rows=M.rows)]
         calls = dict.fromkeys(["_cycle", "_fill", "tableau_to_sw"], 0)
 
         def counted(name):
@@ -673,8 +659,8 @@ class TestCarriedWordAndWalk:
 
     def test_validate_does_not_trust_the_carried_word(self):
         good = path_tableau(parse_path(make_frame(5, 2), "NENEEEE"))
-        bad = ((1, 2, 5), (3, 4, 6))
+        bad = ((1, 3), (2, 4), (5, 6))
         # Same first row, so the same word, but 5 and 4 swapped.
-        assert good.first_row() == (1, 3) and good.columns != bad
+        assert good.first_row() == (1, 3) and good.rows != bad
         with pytest.raises(ValueError, match="not the column filling"):
-            FussTableau.from_columns(k=2, n=2, sign=1, columns=bad)
+            FussTableau(k=2, n=2, sign=1, rows=bad)

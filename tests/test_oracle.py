@@ -72,6 +72,13 @@ def test_enumerate_tableaux_refuses_frames_above_the_path_limit():
         enumerate_tableaux(2, 9)
 
 
+def test_enumerate_tableaux_refuses_k_0():
+    # (1, 3) classifies as no Fuss frame, so no k = 0 tableau exists; the call itself
+    # raises, as the row constructors do, instead of yielding tableaux of k = 0.
+    with pytest.raises(ValueError, match="not the Fuss classification"):
+        enumerate_tableaux(0, 3)
+
+
 def test_enumerate_tableaux_refuses_rectangles_of_many_tableaux():
     # (15, 7) has 7,752 paths, but the 3 x 7 rectangle 1,385,670 standard
     # tableaux, and the search visits every one.

@@ -34,10 +34,11 @@ class TestPolynomialType:
             QTPolynomial({(0, 0): -1})
 
     def test_add_mul(self):
-        # Polynomials add; nothing multiplies them.
+        # A polynomial is a result: nothing adds or multiplies them.
         q = QTPolynomial({(1, 0): 1})
         t = QTPolynomial({(0, 1): 1})
-        assert (q + t) + (q + q) == QTPolynomial({(1, 0): 3, (0, 1): 1})
+        with pytest.raises(TypeError):
+            q + t
         with pytest.raises(TypeError):
             q * t
 
@@ -84,5 +85,5 @@ class TestCatalan:
             for n in (2, 3, 4):
                 poly = catalan_qt(k, n)
                 bound = k * n * (n - 1) // 2
-                assert poly.max_q_degree() == bound
-                assert poly.max_t_degree() == bound
+                assert max(a for a, _ in poly.terms) == bound
+                assert max(b for _, b in poly.terms) == bound

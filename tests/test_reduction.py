@@ -70,7 +70,7 @@ class TestRed:
     def test_two_columns_reduce_to_single(self):
         for path in frame_paths(5, 2):
             T = red(path_tableau(path))
-            assert T.columns == ((1, 2, 3),)
+            assert T.rows == ((1,), (2,), (3,))
 
     def test_agrees_with_the_bisection_oracle(self):
         # Every valid sign +1 tableau of criterion 4's frames, m+n <= 18.
@@ -80,11 +80,12 @@ class TestRed:
             for T in enumerate_tableaux(frame.fuss.k, frame.n):
                 assert red(T) == oracle_red(T), T
 
-    @pytest.mark.parametrize("columns", [((1, 2), (3, 9)), ((1, 2), (0, 4)), ((3, 1), (2, 4))])
-    def test_rejects_labels_it_cannot_renumber(self, columns):
+    @pytest.mark.parametrize("rows", [((1, 3), (2, 9)), ((1, 0), (2, 4)), ((3, 2), (1, 4))],
+                             ids=[f"columns{i}" for i in range(3)])
+    def test_rejects_labels_it_cannot_renumber(self, rows):
         # red never sees these labels: the constructor refuses the tableau.
         with pytest.raises(ValueError):
-            red(FussTableau.from_columns(k=1, n=2, sign=1, columns=columns))
+            red(FussTableau(k=1, n=2, sign=1, rows=rows))
 
     def test_too_narrow(self):
         T = path_tableau(parse_path(make_frame(4, 1), "NEEEE"))
@@ -135,9 +136,8 @@ class TestPsi:
     def test_lives_in_fuss_and_is_re_exported(self):
         import sweepkit
         import sweepkit.fuss
-        import sweepkit.reduction
 
-        assert sweepkit.psi is sweepkit.fuss.psi is sweepkit.reduction.psi
+        assert sweepkit.psi is sweepkit.fuss.psi
 
     def test_golden(self):
         assert psi(big_reduced()).rows == BIG_PSI_OF_REDUCED_ROWS
@@ -174,11 +174,11 @@ class TestFiberCount:
             k, n = frame.fuss.k, frame.n
             groups = {}
             for D in frame_paths(k * (n + 1) + 1, n + 1):
-                key = red(path_tableau(D)).columns
+                key = red(path_tableau(D)).rows
                 groups[key] = groups.get(key, 0) + 1
             for path in frame_paths(frame.m, frame.n):
                 T = path_tableau(path)
-                assert groups[T.columns] == fiber_count(T)
+                assert groups[T.rows] == fiber_count(T)
             assert sum(groups.values()) == len(frame_paths(k * (n + 1) + 1, n + 1))
 
 
@@ -194,8 +194,8 @@ class TestFiberSolutions:
     def test_cutting_golden(self):
         members = fiber_by_cutting(big_reduced())
         assert len(members) == 7
-        assert {path_tableau(D).columns for D in members} == {
-            T.columns for T in fiber_by_bottom_rows(big_reduced())
+        assert {path_tableau(D).rows for D in members} == {
+            T.rows for T in fiber_by_bottom_rows(big_reduced())
         }
 
     def test_matches_oracle(self):
@@ -211,8 +211,8 @@ class TestFiberSolutions:
         for frame in fuss_frames(10, sign=+1):
             for path in frame_paths(frame.m, frame.n):
                 T = path_tableau(path)
-                by_cut = {path_tableau(D).columns for D in fiber_by_cutting(T)}
-                by_rows = {M.columns for M in fiber_by_bottom_rows(T)}
+                by_cut = {path_tableau(D).rows for D in fiber_by_cutting(T)}
+                by_rows = {M.rows for M in fiber_by_bottom_rows(T)}
                 assert by_cut == by_rows
                 assert len(by_cut) == fiber_count(T)
                 for D in fiber_by_cutting(T):
@@ -225,7 +225,7 @@ class TestFiberSolutions:
         frame = make_frame(1001, 500)
         tableaux += [path_tableau(random_path(frame, random.Random(seed))) for seed in range(4)]
         for T in tableaux:
-            assert fiber_by_cutting(T) == oracle_fiber_by_cutting(T), T.columns
+            assert fiber_by_cutting(T) == oracle_fiber_by_cutting(T), T.rows
 
     def test_bottom_rows_differ_only_in_first_entry(self):
         members = fiber_by_bottom_rows(big_reduced())
