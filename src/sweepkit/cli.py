@@ -164,6 +164,8 @@ def cmd_bench(args) -> int:
 
 def cmd_verify(args) -> int:
     """Exhaustive property suites over every coprime frame up to --max-steps."""
+    if args.max_steps < 3:  # below 3 the Catalan suite has no frame, so checks nothing
+        raise ValueError(f"--max-steps must be at least 3, got {args.max_steps}")
     # Imported here so that no other command pays for compiling the suites.
     from . import suites
 

@@ -50,8 +50,8 @@ class FussTableau:
     out), and the two virtual labels m+n, m+n+1 live only in the completed rows
     used by the walk.
 
-    Every instance is valid: the constructor checks the shape, then runs
-    ``validate``.  The first walk is kept in ``_walked``, a cached property
+    Every instance is valid: the constructor checks the types and the shape,
+    then runs ``validate``.  The first walk is kept in ``_walked``, a cached property
     and not a field, so equality, hashing, repr, JSON, ``dataclasses.replace``,
     pickle and ``copy`` ignore it; a walked tableau keeps its order of m+n
     labels alive as long as it lives.
@@ -64,15 +64,20 @@ class FussTableau:
     __getstate__ = _field_state
 
     def __post_init__(self) -> None:
-        """ValueError unless a path fills this shape (k+1 rows of n, except for sign -1
-        two last rows of n-1 under k-1 >= 1 rows of n, or a last row of n-2 under k rows
-        of n) and ``validate`` accepts the tableau."""
-        k, n, sign = self.k, self.n, self.sign
+        """ValueError unless the rows are tuples of entries and k, n, sign and the entries
+        have type ``int``, a path fills this shape (k+1 rows of n, except for sign -1 two
+        last rows of n-1 under k-1 >= 1 rows of n, or a last row of n-2 under k rows of n)
+        and ``validate`` accepts the tableau."""
+        k, n, sign, rows = self.k, self.n, self.sign, self.rows
+        if type(rows) is not tuple or {*map(type, rows)} - {tuple} or {
+                *map(type, chain((k, n, sign), *rows))} != {int}:
+            raise ValueError("tableau rows must be a tuple of tuples, and k, n, sign and "
+                             "entries integers")
         if sign not in (+1, -1) or k < 1 or n < 1:
             raise ValueError("bad tableau parameters")
         # The rows of n entries come first; by their count, the lengths of the rows after
         # them (a length 0 is no row).  Only lengths are compared: O(number of rows).
-        lengths = tuple(map(len, self.rows))
+        lengths = tuple(map(len, rows))
         full = lengths.count(n)
         short = {k + 1: ()} if sign > 0 else {k - 1: (n - 1, n - 1), k: (n - 2,)}
         if not full or full not in short or tuple(filter(None, short[full])) != lengths[full:]:
@@ -152,8 +157,6 @@ class FussTableau:
         k, n, sign, rows = data["k"], data["n"], data["sign"], data["rows"]
         if not (isinstance(rows, list) and rows and all(isinstance(r, list) and r for r in rows)):
             raise ValueError("tableau rows must be a non-empty list of non-empty lists")
-        if set(map(type, chain((k, n, sign), *rows))) != {int}:
-            raise ValueError("tableau k, n, sign and entries must be integers")
         return cls(k=k, n=n, sign=sign, rows=tuple(map(tuple, rows)))
 
     def render_text(self) -> str:

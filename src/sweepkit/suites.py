@@ -11,11 +11,11 @@ of the suites that use them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
-from .core import (DyckPath, Frame, RankSequence, _unchecked, area, dinv, enumerate_paths,
-                   make_frame, parse_path, rank_complement, rank_sequence)
+from .core import (DyckPath, Frame, _unchecked, area, dinv, enumerate_paths, make_frame,
+                   rank_complement, rank_sequence)
 from .fuss import (FussTableau, en_from_tableau, fill_tableau, invert_fuss, path_tableau, psi,
                    tableau_from_bottom_row, tableau_from_first_row, tableau_to_sw, walk)
 from .oracle import (
@@ -28,7 +28,7 @@ from .oracle import (
 )
 from .reduction import fiber_by_cutting, red, reduced_path_of
 from .qtcatalan import CATALAN_ROUTES, path_count
-from .sweep import ENWord, SWWord, bipartite_invert, en_word, steps_to_sw, sw_word, sweep
+from .sweep import SWWord, bipartite_invert, en_word, steps_to_sw, sw_word, sweep
 
 
 def coprime_frames(max_steps: int) -> list[Frame]:
@@ -90,6 +90,12 @@ def _fuss_paths(frames):
     return ((f, D) for f in frames if f.fuss is not None for D in enumerate_paths(f))
 
 
+def _rebuilt(*outputs) -> bool:
+    """Every output, most built unchecked, passes its own constructor (False: there is none):
+    ``replace`` reruns the type's ``__post_init__``, which normalises no field."""
+    return all(replace(x) == x for x in outputs if x is not False)
+
+
 def _transport(D: DyckPath, preimages: dict[str, str], last: bool) -> dict:
     cells, complement = dinv(D), rank_complement(D)  # before the sweep: a sort and a max
     frame, image, sw, en = D.frame, sweep(D), sw_word(D), en_word(D)
@@ -97,23 +103,16 @@ def _transport(D: DyckPath, preimages: dict[str, str], last: bool) -> dict:
     return {"path count": path_count(frame) if last else None, "dinv": cells,
             "dinv(kept sort)": dinv(D), "area(sweep)": area(image),
             "sweep preimage": preimages.setdefault(image.steps, D.steps),
-            "parse_path(enumerate_paths)": parse_path(frame, D.steps) == D,
-            "parse_path(sweep)": parse_path(frame, image.steps) == image,
-            "SWWord(sw_word)": SWWord(frame, sw.letters) == sw,
-            "ENWord(en_word)": ENWord(frame, en.letters) == en,
-            "parse_path(rank_complement)": parse_path(frame, complement.steps) == complement,
+            "outputs rebuilt": _rebuilt(D, image, sw, en, complement, rs, preimage),
             "rank_complement(kept sort)": rank_complement(D).steps == complement.steps,
-            "RankSequence(rank_sequence)": RankSequence(rs.values) == rs,
-            "parse_path(bipartite_invert)": parse_path(frame, preimage.steps).steps}
+            "bipartite_invert": preimage.steps}
 
 
 def _transport_expected(D: DyckPath, count: int | None) -> dict:
     cells = oracle_dinv(D)
     return {"path count": count, "dinv": cells, "dinv(kept sort)": cells, "area(sweep)": cells,
-            "sweep preimage": D.steps, "parse_path(enumerate_paths)": True,
-            "parse_path(sweep)": True, "SWWord(sw_word)": True, "ENWord(en_word)": True,
-            "parse_path(rank_complement)": True, "rank_complement(kept sort)": True,
-            "RankSequence(rank_sequence)": True, "parse_path(bipartite_invert)": D.steps}
+            "sweep preimage": D.steps, "outputs rebuilt": True,
+            "rank_complement(kept sort)": True, "bipartite_invert": D.steps}
 
 
 def _transport_cases(frames):
@@ -130,8 +129,8 @@ def _transport_cases(frames):
 
 def sweep_transport(frames) -> tuple[int, Counterexample | None]:
     """Path count, sweep injective, dinv = cell-rule dinv = area of the image, dinv and
-    the rank complement alike before and after the sweep keeps its rank sort, every
-    enumerated path and every output built unchecked valid, and
+    the rank complement alike before and after the sweep keeps its rank sort, the
+    enumerated path and every output built unchecked rebuilt by its own constructor, and
     bipartite_invert(sw_word, en_word) the path."""
     return _first("sweep transport", _transport_cases(frames))
 
@@ -152,31 +151,20 @@ def fuss_inversion(frames) -> tuple[int, Counterexample | None]:
         for frame, D in _fuss_paths(frames)))
 
 
-def _rebuilt(U: FussTableau | bool) -> bool:
-    """An unchecked tableau passes the constructor (False: there is none)."""
-    return not U or FussTableau(k=U.k, n=U.n, sign=U.sign, rows=U.rows) == U
-
-
 def _tableau(D: DyckPath, fillers: dict) -> dict:
     T = fill_tableau(SWWord(D.frame, steps_to_sw(D.steps)))
     plus = T.sign > 0
-    fiber = [parse_path(P.frame, P.steps).steps for P in fiber_by_cutting(T)] if plus else None
+    fiber = fiber_by_cutting(T) if plus else ()
     sw, en = tableau_to_sw(T), en_from_tableau(T)
     reduced = plus and T.n >= 2 and reduced_path_of(D)
-    return {"SWWord(tableau_to_sw)": SWWord(sw.frame, sw.letters) == sw,
-            "ENWord(en_from_tableau)": ENWord(en.frame, en.letters) == en,
-            "FussTableau(fill_tableau)": _rebuilt(T),
-            "FussTableau(red)": _rebuilt(plus and T.n >= 2 and red(T)),
-            "FussTableau(psi)": _rebuilt(plus and psi(T)),
-            "FussTableau(tableau_from_first_row)":
-                _rebuilt(plus and tableau_from_first_row(T.k, T.n, T.first_row())),
-            "FussTableau(tableau_from_bottom_row)":
-                _rebuilt(plus and tableau_from_bottom_row(T.k, T.n, T.bottom_row())),
-            "parse_path(reduced_path_of)":
-                not reduced or parse_path(reduced.frame, reduced.steps) == reduced,
+    return {"outputs rebuilt": _rebuilt(
+                T, sw, en, *fiber, reduced, plus and T.n >= 2 and red(T), plus and psi(T),
+                plus and tableau_from_first_row(T.k, T.n, T.first_row()),
+                plus and tableau_from_bottom_row(T.k, T.n, T.bottom_row())),
             "path_tableau(reduced_path_of)": path_tableau(reduced).rows if reduced else None,
             "tableau_to_sw": sw.letters, "walk": walk(T).order,
-            "filled from": fillers.setdefault(T.rows, D.steps), "fiber": fiber}
+            "filled from": fillers.setdefault(T.rows, D.steps),
+            "fiber": [P.steps for P in fiber] if plus else None}
 
 
 def _tableau_expected(D: DyckPath) -> dict:
@@ -187,23 +175,18 @@ def _tableau_expected(D: DyckPath) -> dict:
                                rows=tuple(zip(*columns)))
         fiber = [P.steps for P in oracle_fiber_by_cutting(reference)]
         reduced = oracle_red(reference).rows if D.frame.n >= 2 else None
-    return {"SWWord(tableau_to_sw)": True, "ENWord(en_from_tableau)": True,
-            "FussTableau(fill_tableau)": True, "FussTableau(red)": True, "FussTableau(psi)": True,
-            "FussTableau(tableau_from_first_row)": True,
-            "FussTableau(tableau_from_bottom_row)": True, "parse_path(reduced_path_of)": True,
-            "path_tableau(reduced_path_of)": reduced,
+    return {"outputs rebuilt": True, "path_tableau(reduced_path_of)": reduced,
             "tableau_to_sw": steps_to_sw(D.steps), "walk": tuple(_walk_order(columns, fuss.sign)),
             "filled from": D.steps, "fiber": fiber}
 
 
 def tableau_walk(frames) -> tuple[int, Counterexample | None]:
-    """Column filling is injective into valid tableaux; they, their ``red`` and ``psi``,
-    and the row constructors' tableaux from their first and bottom rows pass the
-    constructor; ``reduced_path_of`` passes ``parse_path`` and fills the oracle's ``red``
-    of the oracle's fill; ``tableau_to_sw`` undoes the filling and passes ``SWWord``, and
-    ``en_from_tableau`` passes ``ENWord``; the walk is the oracle's column walk over the
-    oracle's fill, and for sign +1 the fiber one column up (through parse_path) is the
-    oracle's cut-by-cut one."""
+    """Column filling is injective; the tableau, its words from ``tableau_to_sw`` and
+    ``en_from_tableau``, and for sign +1 its ``red``, ``psi``, fiber one column up,
+    ``reduced_path_of`` and the row constructors' tableaux from its first and bottom rows
+    are rebuilt by their own constructors; ``reduced_path_of`` fills the oracle's ``red``
+    of the oracle's fill; ``tableau_to_sw`` undoes the filling; the walk is the oracle's
+    column walk over the oracle's fill, and the fiber is the oracle's cut-by-cut one."""
     fillers: dict = {}  # one for every frame: the rows fix the frame
     return _first("tableau and walk", (
         (frame, D.steps, partial(_tableau_expected, D), _tableau, D, fillers)

@@ -23,7 +23,10 @@ import sweepkit.suites
 from sweepkit import (
     BelowDiagonal,
     DyckPath,
+    ENWord,
+    FussTableau,
     QTPolynomial,
+    RankSequence,
     area,
     bounce,
     en_word,
@@ -481,12 +484,42 @@ class TestVerify:
                         if path_tableau(invert_fuss(reduced_path_of(D))) != red(path_tableau(D)))
         _, counterexample = sweepkit.suites.tableau_walk(frames)
         assert (counterexample.frame, counterexample.word) == (frame, D.steps)
-        assert counterexample.got["parse_path(reduced_path_of)"] is True
+        assert counterexample.got["outputs rebuilt"] is True
         code, out, _ = run(capsys, "verify", "--max-steps", "7")
         assert code == 2
         lines, failed = out.splitlines(), "tableau invariants and walk vs column walk: FAILED"
         assert [line for line in lines if "FAILED" in line] == [failed]
         assert lines[lines.index(failed) + 1] == f"  counterexample: {counterexample}"
+
+    # Each maker returns an output of its type that the type's constructor refuses: the
+    # first row of a tableau that spells no path, an EN word whose reversal dips below the
+    # diagonal, no ranks (a falsy output, still rebuilt), and a path below the diagonal.
+    @pytest.mark.parametrize("name, bad", [
+        *((name, _unchecked(FussTableau, k=1, n=2, sign=1, rows=((2, 3), (1, 4))))
+          for name in ("psi", "red", "tableau_from_first_row", "tableau_from_bottom_row")),
+        ("en_from_tableau", _unchecked(ENWord, frame=make_frame(2, 1), letters="NEE")),
+        ("rank_sequence", _unchecked(RankSequence, values=())),
+        ("rank_complement", _unchecked(DyckPath, frame=make_frame(2, 1), steps="ENE")),
+    ])
+    def test_planted_invalid_output_is_rebuilt_and_refused(self, monkeypatch, name, bad):
+        monkeypatch.setattr(sweepkit.suites, name, lambda *args: bad)
+        suite = (sweepkit.suites.sweep_transport if name.startswith("rank_")
+                 else sweepkit.suites.tableau_walk)
+        _, counterexample = suite(coprime_frames(6))
+        assert isinstance(counterexample.got, Exception)
+
+    @pytest.mark.parametrize("max_steps", ["2", "1", "0", "-5"])
+    def test_refuses_a_bound_under_which_a_suite_checks_nothing(self, capsys, max_steps):
+        code, out, err = run(capsys, "verify", "--max-steps", max_steps)
+        assert (code, out) == (2, "")
+        assert err == f"error: --max-steps must be at least 3, got {max_steps}\n"
+
+    def test_smallest_bound_checks_something_in_every_suite(self, capsys):
+        code, out, _ = run(capsys, "verify", "--max-steps", "3")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 4 and all(line.endswith(" ok") for line in lines)
+        assert all(int(line.split(": ")[1].split()[0]) >= 1 for line in lines)
 
     def test_planted_route_disagreement_prints_each_route(self, capsys, monkeypatch):
         # A step route with one q too many first disagrees on (3, 2), the first sign +1

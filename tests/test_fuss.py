@@ -455,6 +455,16 @@ class TestValidate:
         with pytest.raises(ValueError):
             FussTableau.from_json(json.dumps({"k": 1, "n": n, "sign": sign, "rows": rows}))
 
+    @pytest.mark.parametrize("k, rows", [
+        (1, [[1, 3], [2, 4]]), (1, ((1.0, 3), (2, 4))), (1, (("1", 3), (2, 4))),
+        (1.0, ((1, 3), (2, 4))), (1, ((True, 3), (2, 4))),
+    ], ids=["lists", "float-entry", "str-entry", "float-k", "bool-entry"])
+    def test_rejects_what_is_not_a_tuple_of_int_tuples(self, k, rows):
+        # Held as a tuple of int tuples, with k = 1, these rows fill the path NENEE.
+        assert FussTableau(k=1, n=2, sign=1, rows=((1, 3), (2, 4))).first_row() == (1, 3)
+        with pytest.raises(ValueError, match="must be a tuple of tuples"):
+            FussTableau(k=k, n=2, sign=1, rows=rows)
+
     def test_shape_checked_at_construction(self):
         # The one column of a k = 2, n = 1, sign -1 tableau is k - 1 = 1 high, not 2.
         with pytest.raises(ValueError, match="shape"):
