@@ -23,6 +23,7 @@ from .core import (
     parse_path,
     rank_sequence,
     ranks,
+    _unchecked,
 )
 from .errors import SweepkitError
 from .fuss import FussTableau, _walk_path, invert_fuss, path_tableau
@@ -78,22 +79,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_invert(args) -> int:
+    target = _path_from_args(args)
     if args.method == "bipartite":
-        if args.m is None or args.n is None or args.word is None or args.en_word is None:
-            raise SweepkitError("bipartite inversion needs --m, --n, --word and --en-word")
-        if args.word_kind == "en":
-            raise SweepkitError("pass the EN word through --en-word, not --word")
-        frame = make_frame(args.m, args.n)
-        letters = args.word.upper()
-        sw = SWWord(frame, steps_to_sw(letters) if args.word_kind == "ne" else letters)
-        en = ENWord(frame, args.en_word.upper())
-        path, rs = bipartite_invert(sw, en)
+        if args.en_word is None:
+            raise SweepkitError("bipartite inversion needs --en-word")
+        sw = _unchecked(SWWord, frame=target.frame, letters=steps_to_sw(target.steps))
+        path, rs = bipartite_invert(sw, ENWord(target.frame, args.en_word.upper()))
         print(json.dumps({**path._json_fields(), "rank_sequence": list(rs)}))
         return 0
     invert = invert_fuss
     if args.method == "brute":  # imported here, so that no other command compiles the oracle
         from .oracle import oracle_invert_sweep as invert
-    print(invert(_path_from_args(args)).to_json())
+    print(invert(target).to_json())
     return 0
 
 

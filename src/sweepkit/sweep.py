@@ -21,7 +21,6 @@ from .core import (
     RankSequence,
     _E_FLAGS,
     _unchecked,
-    parse_path,
 )
 from .errors import InconsistentPair
 
@@ -57,7 +56,7 @@ class SWWord:
         if letters.count(S_STEP) + letters.count(W_STEP) != len(letters):
             bad = set(letters) - {S_STEP, W_STEP}
             raise ValueError(f"SW word may only contain S and W, got {sorted(bad)}")
-        parse_path(self.frame, sw_to_steps(letters))
+        DyckPath(self.frame, sw_to_steps(letters))
 
     def as_path(self) -> DyckPath:
         """The path drawn by reading the letters left to right (S up, W right); unchecked:
@@ -83,7 +82,7 @@ class ENWord:
         if letters.count(NORTH) + letters.count(EAST) != len(letters):
             bad = set(letters) - {NORTH, EAST}
             raise ValueError(f"EN word may only contain N and E, got {sorted(bad)}")
-        parse_path(self.frame, letters[::-1])
+        DyckPath(self.frame, letters[::-1])
 
 
 def sw_word(path: DyckPath) -> SWWord:

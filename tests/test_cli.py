@@ -146,6 +146,27 @@ class TestSweepInvert:
         assert report["steps"] == FIG_WORD
         assert tuple(report["rank_sequence"]) == FIG_RANK_SEQUENCE
 
+    def test_bipartite_reads_word_like_every_method(self, capsys):
+        # --word-kind ne means N/E letters for bipartite too, so S/W letters are refused.
+        bipartite = ("invert", "--m", "7", "--n", "5", "--method", "bipartite", "--en-word", FIG_EN)
+        code, out, err = run(capsys, *bipartite, "--word", FIG_SW, "--word-kind", "ne")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        _, by_sw, _ = run(capsys, *bipartite, "--word", FIG_SW, "--word-kind", "sw")
+        code, by_ne, _ = run(capsys, *bipartite, "--word", sw_to_steps(FIG_SW), "--word-kind", "ne")
+        assert code == 0 and by_ne == by_sw
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--en-word", FIG_EN), "a path needs --m, --n and --word"),
+        (("--word", FIG_WORD), "bipartite inversion needs --en-word"),
+        (("--word", FIG_EN, "--word-kind", "en", "--en-word", FIG_EN),
+         "an EN word alone does not determine a path"),
+    ])
+    def test_bipartite_refusals(self, capsys, argv, message):
+        code, out, err = run(capsys, "invert", "--m", "7", "--n", "5", "--method", "bipartite",
+                             *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_en_word_alone_rejected(self, capsys):
         code, _, _ = run(capsys, "invert", "--m", "7", "--n", "5",
                         "--word", FIG_EN, "--word-kind", "en")

@@ -5,11 +5,13 @@ import pickle
 import pytest
 
 from sweepkit import (
+    BelowDiagonal,
     DyckPath,
     ENWord,
     InconsistentPair,
     NotFuss,
     SWWord,
+    WrongStepCounts,
     area,
     bipartite_invert,
     bounce,
@@ -92,6 +94,22 @@ class TestWords:
         # A final E can never carry the largest rank.
         with pytest.raises(Exception):
             ENWord(make_frame(3, 2), "ENNEE")
+
+    @pytest.mark.parametrize("build, m, n, letters, error, message", [
+        (SWWord, 3, 1, "swww", ValueError, "SW word may only contain S and W, got ['s', 'w']"),
+        (SWWord, 3, 1, "NEEE", ValueError, "SW word may only contain S and W, got ['E', 'N']"),
+        (SWWord, 3, 1, "SSWW", WrongStepCounts, "expected 1 N's and 3 E's in 'NNEE'"),
+        (SWWord, 3, 2, "WSSWW", BelowDiagonal, "path falls below the diagonal at prefix 1"),
+        (ENWord, 3, 1, "eeen", ValueError, "EN word may only contain N and E, got ['e', 'n']"),
+        (ENWord, 3, 1, "SWWW", ValueError, "EN word may only contain N and E, got ['S', 'W']"),
+        (ENWord, 3, 1, "EENN", WrongStepCounts, "expected 1 N's and 3 E's in 'NNEE'"),
+        (ENWord, 3, 2, "ENNEE", BelowDiagonal, "path falls below the diagonal at prefix 1"),
+    ])
+    def test_word_errors_keep_class_and_message(self, build, m, n, letters, error, message):
+        # The alphabet check runs first; the path word then goes to DyckPath as it stands.
+        with pytest.raises(error) as info:
+            build(make_frame(m, n), letters)
+        assert type(info.value) is error and str(info.value) == message
 
     def test_rank_identities(self):
         # i-th North end rank = i-th South start rank + m, and the East
