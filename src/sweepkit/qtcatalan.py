@@ -54,7 +54,13 @@ class QTPolynomial:
 
     @classmethod
     def from_json(cls, text: str) -> "QTPolynomial":
-        return cls({(int(a), int(b)): int(c) for a, b, c in json.loads(text)})
+        """ValueError unless exponents are JSON integers and coefficients ones or ASCII decimal
+        strings; str() of a bool, float, null, list or object is none, so nothing is coerced."""
+        terms = json.loads(text)
+        for a, b, c in terms:
+            if not (type(a) is type(b) is int and str(c).isascii() and str(c).isdecimal()):
+                raise ValueError(f"q,t term {[a, b, c]} needs int exponents and coefficient >= 0")
+        return cls({(a, b): int(c) for a, b, c in terms})
 
     def pretty(self) -> str:
         """Human form, highest (total degree, q-exponent) first: 'q^3 + q^2 t + ...'."""

@@ -57,6 +57,12 @@ class TestPolynomialType:
             assert QTPolynomial.from_json(poly.to_json()) == poly
         assert repr(route(1, 3)) == "QTPolynomial(q^3 + q^2 t + q t^2 + t^3 + q t)"
 
+    @pytest.mark.parametrize("text", ['[[0.5, 1, "2"]]', '[[1, 1, 2.7]]', '[[true, 1, "2"]]',
+                                      '[["1", "1", "2"]]'])
+    def test_from_json_refuses_coercion(self, text):
+        with pytest.raises(ValueError, match="int exponents and coefficient"):
+            QTPolynomial.from_json(text)
+
     def test_pretty(self):
         assert catalan_qt(1, 2).pretty() == "q + t"
         assert catalan_qt(1, 3).pretty() == "q^3 + q^2 t + q t^2 + t^3 + q t"
