@@ -247,6 +247,8 @@ class RankSequence:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.values, tuple):  # a frozen value that hash() refuses otherwise
+            raise ValueError(f"rank sequence must be a tuple, got {type(self.values).__name__}")
         if not self.values or self.values[0] != 0:
             raise ValueError("rank sequence must start at 0")
         if not all(map(lt, self.values, self.values[1:])):

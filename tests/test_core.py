@@ -176,6 +176,14 @@ class TestRanks:
             RankSequence((1, 2))
         assert type(err.value) is ValueError and str(err.value) == "rank sequence must start at 0"
 
+    def test_rank_sequence_must_be_a_tuple(self):
+        # A list would make a frozen value that hash() refuses.
+        with pytest.raises(ValueError) as err:
+            RankSequence([0, 1])
+        assert type(err.value) is ValueError
+        assert str(err.value) == "rank sequence must be a tuple, got list"
+        assert hash(RankSequence((0, 1))) == hash(RankSequence((0, 1)))
+
     def test_rank_sequence_indexes_its_values(self):
         rs = rank_sequence(fig_path())
         assert [rs[i] for i in range(len(rs))] == list(FIG_RANK_SEQUENCE)
