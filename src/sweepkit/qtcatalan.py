@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from collections import Counter
 from typing import Iterator
 
@@ -114,9 +113,8 @@ def catalan_step(k: int, n: int) -> QTPolynomial:
     def monomials() -> Iterator[tuple[int, int]]:
         for D in _fuss_paths(k, n_):
             d, a = dinv(D), area(D) + n_ * k
-            rs = sorted(_prefix_ranks(m_, n_, D.steps))
-            for i in range(bisect_left(rs, m_)):
-                yield d + i, a - rs[i]
+            for i, r in enumerate(sorted(filter(m_.__gt__, _prefix_ranks(m_, n_, D.steps)))):
+                yield d + i, a - r
 
     return QTPolynomial(Counter(monomials()))
 
