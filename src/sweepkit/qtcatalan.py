@@ -53,8 +53,8 @@ class QTPolynomial:
 
     @classmethod
     def from_json(cls, text: str) -> "QTPolynomial":
-        """ValueError unless exponents are JSON integers and coefficients ones or ASCII decimal
-        strings; str() of a bool, float, null, list or object is none, so nothing is coerced."""
+        """ValueError unless the exponents are JSON integers and each coefficient is one, >= 0,
+        or an ASCII decimal string; str() of a bool, float, null, list or object is neither."""
         terms = json.loads(text)
         for a, b, c in terms:
             if not (type(a) is type(b) is int and str(c).isascii() and str(c).isdecimal()):
