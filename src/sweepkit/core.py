@@ -91,8 +91,53 @@ def _field_state(self) -> dict:
 
 def _prefix_ranks(m: int, n: int, steps: str) -> Iterator[int]:
     """Rank of the start vertex of each step of a word over {N, E}, lazily: the one rank
-    walk, beside DyckPath's validation loop and the walk of ``sweep.bipartite_invert``."""
+    walk, beside the least rank of ``_min_rank`` and the walk of ``sweep.bipartite_invert``."""
     return accumulate(map({NORTH: m, EAST: -n}.__getitem__, steps[:-1]), initial=0)
+
+
+# _min_rank jumps over a stretch of at least _JUMP letters that cannot set a new least rank,
+# and below that walks the next _WALK letters one at a time.
+_JUMP = 32
+_WALK = 128
+
+
+def _letter_bits(word: bytes) -> int:
+    """Set bits of an ASCII word: N (0x4E) has four and E (0x45) three, so a word of h letters
+    over {N, E} holds bits - 3h N's.  No branch per letter, unlike ``str.count`` (on a random
+    word 5x slower than on a sorted one, CPython 3.11, x86-64)."""
+    return int.from_bytes(word, "little").bit_count()
+
+
+def _min_rank(m: int, n: int, steps: str) -> int:
+    """Least start rank of a word of n N's and m E's, unchecked; ``oracle.oracle_min_rank``
+    is the per-letter loop it replaced.
+
+    A step lowers the rank by at most n, so from rank r, with least rank ``low`` so far, the
+    next h = (r - low) // n letters set no new least.  When h >= _JUMP they are jumped: their
+    N's, counted by ``_letter_bits``, add m+n each and every letter takes n off.  Otherwise the
+    next _WALK letters are walked one at a time.  Near the diagonal h stays below _JUMP, so a
+    path that hugs the diagonal is the worst case: every letter walked.  A jump or walk may run
+    past the end, which is harmless: r is not read again, and the end vertex has rank 0.
+    """
+    word = steps.encode()
+    size, step = len(word), m + n
+    r = low = i = 0
+    while i < size:
+        h = (r - low) // n
+        if h >= _JUMP:
+            j = i + h
+            r += (_letter_bits(word[i:j]) - 3 * h) * step - h * n
+        else:
+            j = i + _WALK
+            for ch in word[i:j]:
+                if ch == 78:  # ord("N")
+                    r += m
+                else:
+                    r -= n
+                    if r < low:
+                        low = r
+        i = j
+    return low
 
 
 def _vertex_of_rank(m: int, n: int, rank: int) -> int:
@@ -108,10 +153,10 @@ def _lowest_rank_rotation(m: int, n: int, steps: str) -> str:
     """The cyclic rotation of the word that starts at its lowest-rank vertex.
 
     For a word of n N's and m E's, m and n coprime, this is the only
-    rotation that is a path of the frame (the cycle lemma).  One C-level
-    pass over the start ranks, for their min, whose vertex ``_vertex_of_rank`` gives.
+    rotation that is a path of the frame (the cycle lemma).  ``_min_rank`` finds the
+    least start rank, jumping over most of a random word, and ``_vertex_of_rank`` its vertex.
     """
-    i = _vertex_of_rank(m, n, min(_prefix_ranks(m, n, steps)))
+    i = _vertex_of_rank(m, n, _min_rank(m, n, steps))
     return steps[i:] + steps[:i]
 
 
@@ -144,9 +189,10 @@ class DyckPath:
 
     Construction checks the type (a str), the length, the letter counts (exactly
     n N's and m E's, so no other letter) and that no prefix ends below the diagonal.
-    Cost: two C-level counts plus one Python pass that tests the rank only
-    after East steps, since North steps only raise it.  Only on failure is
-    the word scanned again, to report the first offending prefix.
+    Cost: C-level passes for the letters (no other letter, ``_letter_bits`` for the N's) plus
+    ``_min_rank``, which jumps over the letters that cannot take the rank below 0 and walks
+    the rest; a path that hugs the diagonal is walked letter by letter, the worst case.  Only
+    on failure is the word scanned again, to report the first offending prefix.
 
     The rank words of a swept path and their sorted keys are kept in ``_rank_words``, a
     cached property and not a field, so equality, hashing, repr, JSON, ``dataclasses.replace``,
@@ -164,18 +210,13 @@ class DyckPath:
             raise ValueError(f"step word must be a str, got {type(steps).__name__}")
         if len(steps) != m + n:
             raise WrongStepCounts(f"expected {m + n} steps, got {len(steps)}")
-        if steps.count(NORTH) != n or steps.count(EAST) != m:
+        word = steps.encode("ascii", "replace")  # one byte a letter, "?" for a non-ASCII one
+        if word.translate(None, b"NE") or _letter_bits(word) != 3 * (m + n) + n:
             raise WrongStepCounts(f"expected {n} N's and {m} E's in {steps!r}")
-        r = 0
-        for ch in steps:
-            if ch == NORTH:
-                r += m
-            else:
-                r -= n
-                if r < 0:
-                    # The counts make the word pure N/E: start rank i ends prefix i.
-                    starts = enumerate(_prefix_ranks(m, n, steps))
-                    raise BelowDiagonal(next(i for i, rank in starts if rank < 0))
+        if _min_rank(m, n, steps) < 0:
+            # The counts make the word pure N/E: start rank i ends prefix i.
+            starts = enumerate(_prefix_ranks(m, n, steps))
+            raise BelowDiagonal(next(i for i, rank in starts if rank < 0))
 
     def _json_fields(self) -> dict:
         """The object to_json writes, for callers that nest it in theirs."""

@@ -11,8 +11,9 @@ walk over arbitrary columns that ``fuss._cycle`` replaced,
 lift-and-sweep per cut that ``reduction.fiber_by_cutting`` replaced,
 ``oracle_validate`` the round trip through a second tableau that
 ``FussTableau.validate`` replaced, ``oracle_red`` the bisection per entry
-that ``reduction.red`` replaced, and ``oracle_vertex_of_rank`` the search of the
-rank walk that ``core._vertex_of_rank`` replaced; all are kept as references.
+that ``reduction.red`` replaced, ``oracle_vertex_of_rank`` the search of the
+rank walk that ``core._vertex_of_rank`` replaced, and ``oracle_min_rank`` the
+per-letter rank loop that ``core._min_rank`` replaced; all are kept as references.
 ``oracle_invert_sweep`` is the package's only brute-force sweep inversion.
 """
 
@@ -130,6 +131,21 @@ def oracle_bipartite_invert(sw: SWWord, en: ENWord) -> tuple[DyckPath, RankSeque
 def oracle_vertex_of_rank(m: int, n: int, steps: str, rank: int) -> int:
     """Index of the first step of the word that starts at the rank, by search; else ValueError."""
     return indexOf(_prefix_ranks(m, n, steps), rank)
+
+
+def oracle_min_rank(m: int, n: int, steps: str) -> int:
+    """Least start rank of a word over {N, E}, walked letter by letter: the loop of
+    ``DyckPath``'s validation, which tested the rank only after East steps, since North
+    steps only raise it."""
+    r = low = 0
+    for ch in steps[:-1]:
+        if ch == NORTH:
+            r += m
+        else:
+            r -= n
+            if r < low:
+                low = r
+    return low
 
 
 def _east_heights(path: DyckPath) -> list[int]:

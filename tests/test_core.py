@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from array import array
 
 import pytest
@@ -25,9 +26,10 @@ from sweepkit import (
     ranks,
     sweep,
 )
-from sweepkit.core import (_low_bytes, _lowest_rank_rotation, _prefix_ranks, _rank_keys,
-                           _rank_sort, _vertex_of_rank)
-from sweepkit.oracle import oracle_vertex_of_rank
+from sweepkit.bench import random_path
+from sweepkit.core import (_JUMP, _WALK, _low_bytes, _lowest_rank_rotation, _min_rank,
+                           _prefix_ranks, _rank_keys, _rank_sort, _vertex_of_rank)
+from sweepkit.oracle import oracle_min_rank, oracle_vertex_of_rank
 from helpers import (
     FIG_DINV,
     FIG_FRAME,
@@ -143,8 +145,9 @@ class TestParsePath:
                 assert got == expected, (frame, word)
 
     def test_direct_construction_rejects_other_letters(self):
-        # Right length and N count, but a letter that is not E.
-        for word in ("NNEeE", "NNEXE", "NN EE"):
+        # Right length and N count, but a letter that is not E; G has the set bits of an N
+        # and \x07 those of an E, so the letters' bit count alone would pass the last two.
+        for word in ("NNEeE", "NNEXE", "NN EE", "NNEEÉ", "NNEE\ud800", "GNEEE", "NNEE\x07"):
             with pytest.raises(WrongStepCounts):
                 DyckPath(make_frame(3, 2), word)
 
@@ -256,6 +259,94 @@ class TestRanks:
                         assert _vertex_of_rank(m, n, r) == oracle_vertex_of_rank(m, n, rotated, r)
                         checked += 1
         assert checked > 40_000
+
+
+def _shuffled(m, n, rng):
+    """A uniform word of n N's and m E's: a path or not, any rotation."""
+    word = list("N" * n + "E" * m)
+    rng.shuffle(word)
+    return "".join(word)
+
+
+class TestMinRank:
+    """``_min_rank`` against the per-letter loop it replaced, ``oracle.oracle_min_rank``."""
+
+    def test_every_word_of_the_small_frames(self):
+        # Paths and non-paths alike; DyckPath refuses a non-path at the prefix the
+        # independent scan names.
+        below = 0
+        for frame in coprime_frames(14):
+            m, n = frame.m, frame.n
+            for north in itertools.combinations(range(frame.size), n):
+                letters = ["E"] * frame.size
+                for i in north:
+                    letters[i] = "N"
+                word = "".join(letters)
+                low = oracle_min_rank(m, n, word)
+                assert _min_rank(m, n, word) == low, (frame, word)
+                if low >= 0:
+                    assert DyckPath(frame, word).steps == word
+                    continue
+                below += 1
+                with pytest.raises(BelowDiagonal) as err:
+                    DyckPath(frame, word)
+                assert ("below", err.value.prefix) == prefix_scan(m, n, word), (frame, word)
+        assert below > 16_000
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_long_paths_and_shuffles(self, sign):
+        n = 20_000
+        frame = make_frame(2 * n + sign, n)
+        m, rng = frame.m, random.Random(f"min-rank:{sign}")
+        for _ in range(3):
+            path = random_path(frame, rng)
+            assert _min_rank(m, n, path.steps) == oracle_min_rank(m, n, path.steps) == 0
+            word = _shuffled(m, n, rng)
+            low = oracle_min_rank(m, n, word)
+            assert _min_rank(m, n, word) == low < 0
+            with pytest.raises(BelowDiagonal) as err:
+                DyckPath(frame, word)
+            assert ("below", err.value.prefix) == prefix_scan(m, n, word)
+
+    @pytest.mark.parametrize("m, n", [(601, 300), (599, 300), (1001, 10), (301, 300)])
+    def test_words_landing_on_a_jump_boundary(self, m, n):
+        # N^a E^b, then the other N's and E's: the E run is jumped to within n of the least
+        # rank so far (a multiple of n away lands on it), and its end is one letter short
+        # of, on, or one or two letters past the least rank 0.
+        checked = 0
+        for a in range(1, n + 1):
+            for b in range(a * m // n - 1, a * m // n + 3):
+                if 0 <= b <= m:
+                    word = "N" * a + "E" * b + "N" * (n - a) + "E" * (m - b)
+                    assert _min_rank(m, n, word) == oracle_min_rank(m, n, word) == min(
+                        0, a * m - b * n), (a, b)
+                    checked += 1
+        assert checked >= 3 * n
+
+    def test_lengths_around_the_jump_and_the_walk(self):
+        # Every length from just under _JUMP to just past two walks, on a wide, a square and
+        # a tall frame of each length: uniform shuffles, paths, and the word that climbs first.
+        rng = random.Random("min-rank-lengths")
+        for size in range(_JUMP - 1, 2 * _WALK + 2):
+            for m in {size * 2 // 3, size // 2, size // 3}:
+                if m < 1 or math.gcd(m, size - m) != 1:
+                    continue
+                n = size - m
+                words = [_shuffled(m, n, rng) for _ in range(4)]
+                words += [random_path(make_frame(m, n), rng).steps, "N" * n + "E" * m]
+                for word in words:
+                    assert _min_rank(m, n, word) == oracle_min_rank(m, n, word), (m, n, word)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_rotation_starts_at_the_reference_minimum(self, sign):
+        # So random_path, the cycle lemma over a shuffle, draws the same paths as before.
+        rng = random.Random(f"rotation:{sign}")
+        for n in (7, 300, 20_000):
+            m = 2 * n + sign
+            for _ in range(3):
+                word = _shuffled(m, n, rng)
+                i = oracle_vertex_of_rank(m, n, word, oracle_min_rank(m, n, word))
+                assert _lowest_rank_rotation(m, n, word) == word[i:] + word[:i]
 
 
 class TestStatistics:
