@@ -53,13 +53,21 @@ class QTPolynomial:
 
     @classmethod
     def from_json(cls, text: str) -> "QTPolynomial":
-        """ValueError unless the exponents are JSON integers and each coefficient is one, >= 0,
-        or an ASCII decimal string; str() of a bool, float, null, list or object is neither."""
-        terms = json.loads(text)
-        for a, b, c in terms:
+        """ValueError unless the JSON is a list of [a, b, c] terms, each (a, b) once, whose
+        exponents are JSON integers and whose coefficient is one, >= 0, or an ASCII decimal
+        string; str() of a bool, float, null, list or object is neither.  ``[]`` is 0."""
+        data = json.loads(text)
+        if type(data) is not list or not all(type(term) is list and len(term) == 3
+                                             for term in data):
+            raise ValueError("q,t polynomial JSON must be a list of [q-exp, t-exp, coeff] terms")
+        terms = {}
+        for a, b, c in data:
             if not (type(a) is type(b) is int and str(c).isascii() and str(c).isdecimal()):
                 raise ValueError(f"q,t term {[a, b, c]} needs int exponents and coefficient >= 0")
-        return cls({(a, b): int(c) for a, b, c in terms})
+            if (a, b) in terms:
+                raise ValueError(f"q,t term q^{a} t^{b} appears twice")
+            terms[a, b] = int(c)
+        return cls(terms)
 
     def pretty(self) -> str:
         """Human form, highest (total degree, q-exponent) first: 'q^3 + q^2 t + ...'."""
@@ -113,7 +121,9 @@ def catalan_step(k: int, n: int) -> QTPolynomial:
     def monomials() -> Iterator[tuple[int, int]]:
         for D in _fuss_paths(k, n_):
             d, a = dinv(D), area(D) + n_ * k
-            for i, r in enumerate(sorted(filter(m_.__gt__, _prefix_ranks(m_, n_, D.steps)))):
+            for i, r in enumerate(sorted(_prefix_ranks(m_, n_, D.steps))):
+                if r >= m_:
+                    break
                 yield d + i, a - r
 
     return QTPolynomial(Counter(monomials()))

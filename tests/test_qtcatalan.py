@@ -63,6 +63,20 @@ class TestPolynomialType:
         with pytest.raises(ValueError, match="int exponents and coefficient"):
             QTPolynomial.from_json(text)
 
+    @pytest.mark.parametrize("text", ['5', 'null', '"[]"', '{}', '[1]', '[[1, 1]]',
+                                      '[[1, 1, "2", 0]]', '[{"q": 1, "t": 1, "c": "2"}]'])
+    def test_from_json_refuses_other_shapes(self, text):
+        with pytest.raises(ValueError, match=r"must be a list of \[q-exp, t-exp, coeff\] terms"):
+            QTPolynomial.from_json(text)
+
+    def test_from_json_refuses_a_repeated_term(self):
+        with pytest.raises(ValueError, match=r"q,t term q\^1 t\^1 appears twice"):
+            QTPolynomial.from_json('[[1, 1, "2"], [1, 1, "3"]]')
+
+    def test_from_json_of_no_terms_is_zero(self):
+        assert QTPolynomial.from_json("[]") == QTPolynomial() == QTPolynomial.from_json(
+            QTPolynomial().to_json())
+
     def test_pretty(self):
         assert catalan_qt(1, 2).pretty() == "q + t"
         assert catalan_qt(1, 3).pretty() == "q^3 + q^2 t + q t^2 + t^3 + q t"
