@@ -2,15 +2,13 @@
 
 Exit codes: 0 success, 2 domain errors (non-coprime frame, path below the
 diagonal, non-Fuss frame, ...), 1 I/O errors.  All JSON output is
-stable-ordered so runs can be golden-file tested.  SWEEPKIT_SEED, when set,
-overrides --seed.
+stable-ordered so runs can be golden-file tested.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import bench as bench_mod, qtcatalan
@@ -149,8 +147,8 @@ def cmd_render(args) -> int:
 
 def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
-    seed = int(os.environ.get("SWEEPKIT_SEED", args.seed))
-    rows = bench_mod.time_layers(args.k, args.sign, sizes, args.reps, seed, args.layers.split(","))
+    rows = bench_mod.time_layers(args.k, args.sign, sizes, args.reps, args.seed,
+                                 args.layers.split(","))
     print(*map(json.dumps, rows), sep="\n")
     # Growth per layer and size step goes to stderr; the rows run size by size.
     for small, big in zip(rows, rows[len(rows) // len(sizes):]):

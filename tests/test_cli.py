@@ -399,12 +399,11 @@ class TestBench:
             ("invert_fuss", 2, 1, 40, 121, 2), ("invert_fuss", 2, 1, 80, 241, 2)]
         assert err.startswith("# invert_fuss n=80: time x") and err.endswith(" for n x2.00\n")
 
-    def test_env_seed_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("SWEEPKIT_SEED", "123")
+    def test_seed_draws_the_timed_path(self, capsys, monkeypatch):
         seen = []
         monkeypatch.setitem(sweepkit.bench.LAYERS, "invert_fuss", lambda p: partial(seen.append, p))
         code, out, _ = run(capsys, "bench", "--k", "1", "--sizes", "30", "--reps", "1",
-                           "--seed", "999")
+                           "--seed", "123")
         assert code == 0
         assert json.loads(out)["steps"] == 61
         assert seen == [random_path(make_frame(31, 30), random.Random("123:1:30"))]
