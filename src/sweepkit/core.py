@@ -120,13 +120,13 @@ def _min_rank(m: int, n: int, steps: str) -> int:
     past the end, which is harmless: r is not read again, and the end vertex has rank 0.
     """
     word = steps.encode()
-    size, step = len(word), m + n
+    size = len(word)
     r = low = i = 0
     while i < size:
         h = (r - low) // n
         if h >= _JUMP:
             j = i + h
-            r += (_letter_bits(word[i:j]) - 3 * h) * step - h * n
+            r += (_letter_bits(word[i:j]) - 3 * h) * (m + n) - h * n
         else:
             j = i + _WALK
             for ch in word[i:j]:
